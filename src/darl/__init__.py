@@ -16,7 +16,6 @@ from .errors import (
     InvalidCoefficient,
     MissingReference,
     NumericalDegeneracy,
-    OrderingError,
     ParseError,
     SchemaError,
     ShapeMismatch,
@@ -25,19 +24,7 @@ from .errors import (
     UnsupportedSampleSize,
     ValidationError,
 )
-from .ingest import (
-    CHANNEL_NAMES,
-    FIXTURE_NAMES,
-    ChannelSummary,
-    Fixture,
-    SensorLog,
-    builtin_fixtures,
-    dump_config,
-    load_config,
-    load_fixture,
-    parse_sensor_csv,
-    summarize_channel,
-)
+from .ingest import FIXTURE_NAMES, Fixture, dump_config, load_config, load_fixture
 from .model import (
     AS_PRINTED,
     DARL_MODES,
@@ -48,17 +35,14 @@ from .model import (
     build_series,
     compare_with_reference,
     darl_temperature,
-    register_darl_mode,
+    rank_seeds,
     run_configuration,
-    select_best_seed,
 )
 from .prng import (
     KNOWN_FERMAT_PRIMES,
     SORT_ORDERS,
-    FermatSeedSet,
     MersenneTwister,
     UniformSeries,
-    seed_generator,
     uniform_series,
 )
 from .regression import LinearFit, SamplePoint, fit_ols, predict_at
@@ -79,21 +63,19 @@ __all__ = [
     "DarlError", "NumericalDegeneracy", "DegenerateAbscissa", "DegenerateVariance",
     "Singularity", "InvalidCoefficient", "DivisionByZero", "InsufficientSamples",
     "InvalidBounds", "UnsupportedSampleSize", "ShapeMismatch", "MissingReference",
-    "SchemaError", "OrderingError", "ValidationError", "ParseError", "UnknownFixture",
+    "SchemaError", "ValidationError", "ParseError", "UnknownFixture",
     # prng
-    "KNOWN_FERMAT_PRIMES", "SORT_ORDERS", "MersenneTwister", "FermatSeedSet",
-    "UniformSeries", "seed_generator", "uniform_series",
+    "KNOWN_FERMAT_PRIMES", "SORT_ORDERS", "MersenneTwister", "UniformSeries",
+    "uniform_series",
     # regression
     "SamplePoint", "LinearFit", "fit_ols", "predict_at",
     # stats
     "NormalityResult", "QuartileSummary", "shapiro_wilk", "rmse",
     "relative_error", "quartile_summary",
     # model
-    "AS_PRINTED", "SPAN_OVER_PHI_R2", "DARL_MODES", "register_darl_mode",
-    "darl_temperature", "ExperimentConfig", "PredictionRecord", "ComparisonRecord",
-    "build_series", "run_configuration", "compare_with_reference", "select_best_seed",
+    "AS_PRINTED", "SPAN_OVER_PHI_R2", "DARL_MODES", "darl_temperature",
+    "ExperimentConfig", "PredictionRecord", "ComparisonRecord", "build_series",
+    "run_configuration", "compare_with_reference", "rank_seeds",
     # ingest
-    "CHANNEL_NAMES", "FIXTURE_NAMES", "SensorLog", "ChannelSummary",
-    "parse_sensor_csv", "summarize_channel", "load_config", "dump_config",
-    "Fixture", "load_fixture", "builtin_fixtures",
+    "FIXTURE_NAMES", "load_config", "dump_config", "Fixture", "load_fixture",
 ]

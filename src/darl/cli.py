@@ -13,7 +13,6 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from statistics import fmean
 
 from . import __version__
 from .errors import DarlError, NumericalDegeneracy, ValidationError
@@ -31,8 +30,8 @@ from .model import (
     ExperimentConfig,
     build_series,
     compare_with_reference,
+    rank_seeds,
     run_configuration,
-    select_best_seed,
 )
 from .prng import uniform_series
 from .serialize import (
@@ -91,24 +90,27 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config
 
 
+def _distribution_stats(values) -> dict:
+    """Shapiro-Wilk and quartile summary of one series, in report key order."""
+    norm = shapiro_wilk(values)
+    quart = quartile_summary(values)
+    return {
+        "n": norm.n,
+        "w_statistic": norm.w_statistic,
+        "p_value": norm.p_value,
+        "normality_rejected": norm.rejected,
+        "q1": quart.q1,
+        "median": quart.q2,
+        "q3": quart.q3,
+        "iqr": quart.iqr,
+    }
+
+
 def _series_stats(config: ExperimentConfig) -> list[dict]:
-    rows = []
-    for seed in sorted(config.seeds):
-        _, series = build_series(config, seed)
-        norm = shapiro_wilk(series.values)
-        quart = quartile_summary(series.values)
-        rows.append({
-            "seed": seed,
-            "n": series.n,
-            "w_statistic": norm.w_statistic,
-            "p_value": norm.p_value,
-            "normality_rejected": norm.rejected,
-            "q1": quart.q1,
-            "median": quart.q2,
-            "q3": quart.q3,
-            "iqr": quart.iqr,
-        })
-    return rows
+    return [
+        {"seed": seed, **_distribution_stats(build_series(config, seed)[1].values)}
+        for seed in sorted(config.seeds)
+    ]
 
 
 def _discrepancy_block(fixture: Fixture) -> dict:
@@ -202,7 +204,7 @@ def _build_report(
             for c in comparisons
         ]
         report["rmse_by_seed"] = dict(sorted(rmse_by_seed.items()))
-        report["best_seed"] = select_best_seed(comparisons)
+        report["best_seed"] = rank_seeds(comparisons)[0][1]
     if fixture is not None:
         report["discrepancy_report"] = _discrepancy_block(fixture)
     return report, comparisons
@@ -331,13 +333,8 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep needs reference observations: use a fixture or --reference")
     records = run_configuration(config)
     comparisons, rmse_by_seed = compare_with_reference(records, reference)
-    errors_by_seed: dict[int, list[float]] = {}
-    for comp in comparisons:
-        errors_by_seed.setdefault(comp.seed, []).append(comp.relative_error_pct)
-    ranking = sorted(
-        (fmean(errs), seed) for seed, errs in errors_by_seed.items()
-    )
-    best = select_best_seed(comparisons)
+    ranking = rank_seeds(comparisons)
+    best = ranking[0][1]
     doc = {
         "tool": "darl",
         "version": __version__,
@@ -367,35 +364,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _validate_row(label: str, values) -> dict:
-    norm = shapiro_wilk(values)
-    quart = quartile_summary(values)
-    return {
-        "source": label,
-        "n": norm.n,
-        "w_statistic": norm.w_statistic,
-        "p_value": norm.p_value,
-        "normality_rejected": norm.rejected,
-        "q1": quart.q1,
-        "median": quart.q2,
-        "q3": quart.q3,
-        "iqr": quart.iqr,
-    }
-
-
 def cmd_validate(args) -> int:
     rows = []
     if args.series is not None:
         path = Path(args.series)
         values = load_series_csv(path.read_bytes())
         source = path.name
-        rows.append(_validate_row(source, values))
+        rows.append({"source": source, **_distribution_stats(values)})
     else:
         source, config, _, _ = _resolve_inputs(args)
         config = _apply_overrides(config, args)
         for seed in sorted(config.seeds):
             _, series = build_series(config, seed)
-            rows.append(_validate_row(f"seed {seed}", series.values))
+            rows.append({"source": f"seed {seed}", **_distribution_stats(series.values)})
     doc = {
         "tool": "darl",
         "version": __version__,

@@ -60,10 +60,6 @@ class SchemaError(DarlError):
     """A document is missing required columns/fields or has unknown ones."""
 
 
-class OrderingError(DarlError):
-    """Timestamps are not strictly increasing."""
-
-
 class ValidationError(DarlError):
     """A semantic constraint on a configuration value is violated."""
 

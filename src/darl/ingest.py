@@ -1,4 +1,4 @@
-"""Sensor-log parsing, channel summaries, config files and built-in fixtures."""
+"""Config files, built-in fixtures, and series and reference CSV files."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import (
     InsufficientSamples,
-    OrderingError,
     ParseError,
     SchemaError,
     UnknownFixture,
@@ -20,103 +19,27 @@ from .errors import (
 from .model import ExperimentConfig
 from .serialize import render_json
 
-#: Channel columns of a sensor log, in file order (after timestamp_s).
-CHANNEL_NAMES = ("T_in", "S1", "S2", "S3", "S4", "S7", "T_w")
-
-#: Rated accuracy of the temperature probes, degrees C.
-SENSOR_UNCERTAINTY_C = 0.05
-
 FIXTURE_NAMES = ("experiment-a", "experiment-b")
 
 _CONFIG_REQUIRED = ("t_in_c", "t_end_c", "t_w_c", "total_length_m", "target_lengths_m")
 _CONFIG_OPTIONAL = ("t_w_uncertainty_c", "seeds", "n_override", "sort_order", "darl_mode")
 
 
-@dataclass(frozen=True)
-class SensorLog:
-    """Time-stamped multichannel temperature record."""
-
-    timestamps: np.ndarray                 # seconds, strictly increasing
-    channels: dict[str, np.ndarray]        # name -> degrees C
-    sensor_uncertainty: float = SENSOR_UNCERTAINTY_C
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-
-@dataclass(frozen=True)
-class ChannelSummary:
-    mean: float
-    std: float        # sample standard deviation (n-1 denominator)
-    count: int
-
-
-def parse_sensor_csv(data: bytes) -> SensorLog:
-    """Parse a sensor log from CSV bytes.
-
-    Expects a header row with `timestamp_s` first and then every channel in
-    CHANNEL_NAMES. A missing column raises SchemaError; a numeric cell that
-    fails to parse raises ParseError naming the offending row; timestamps
-    must be strictly increasing or OrderingError is raised.
-    """
+def _decode(data: bytes, what: str) -> str:
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"sensor log is not valid UTF-8: {exc}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise SchemaError("sensor log is empty; header row required")
-    header = [cell.strip().strip('"') for cell in lines[0].split(",")]
-    if not header or header[0] != "timestamp_s":
-        raise SchemaError(f"first column must be timestamp_s, got {header[:1]}")
-    positions: dict[str, int] = {}
-    for name in CHANNEL_NAMES:
-        if name not in header:
-            raise SchemaError(f"sensor log lacks required column {name}")
-        positions[name] = header.index(name)
-
-    width = len(header)
-    rows: list[list[float]] = []
-    for idx, line in enumerate(lines[1:], start=1):
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != width:
-            raise ParseError(f"row {idx}: expected {width} cells, got {len(cells)}")
-        try:
-            values = [float(cell) for cell in cells]
-        except ValueError:
-            raise ParseError(f"row {idx}: unparseable numeric value") from None
-        if any(not math.isfinite(v) for v in values):
-            raise ParseError(f"row {idx}: non-finite value")
-        rows.append(values)
-
-    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
-    timestamps = table[:, 0]
-    if len(timestamps) > 1 and not np.all(np.diff(timestamps) > 0.0):
-        raise OrderingError("timestamps must be strictly increasing")
-    channels = {name: table[:, positions[name]].copy() for name in CHANNEL_NAMES}
-    for arr in channels.values():
-        arr.setflags(write=False)
-    timestamps = timestamps.copy()
-    timestamps.setflags(write=False)
-    return SensorLog(timestamps=timestamps, channels=channels)
+        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
-def summarize_channel(log: SensorLog, channel: str) -> ChannelSummary:
-    """Mean and sample (n-1) standard deviation of one channel.
-
-    A single-observation channel has no dispersion estimate; its std is
-    reported as 0.
-    """
-    if channel not in log.channels:
-        known = ", ".join(CHANNEL_NAMES)
-        raise SchemaError(f"unknown channel {channel!r} (expected one of {known})")
-    values = log.channels[channel]
-    n = len(values)
-    if n == 0:
-        raise InsufficientSamples(f"channel {channel} is empty")
-    mean = float(np.mean(values))
-    std = float(np.std(values, ddof=1)) if n > 1 else 0.0
-    return ChannelSummary(mean=mean, std=std, count=n)
+def _finite(cell: str, idx: int) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(f"row {idx}: unparseable numeric value") from None
+    if not math.isfinite(value):
+        raise ParseError(f"row {idx}: non-finite value")
+    return value
 
 
 def _config_from_mapping(doc: dict) -> ExperimentConfig:
@@ -128,6 +51,9 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     for key in doc:
         if key not in _CONFIG_REQUIRED and key not in _CONFIG_OPTIONAL:
             raise SchemaError(f"config has unknown key {key}")
+    for key in ("target_lengths_m", "seeds"):
+        if key in doc and not isinstance(doc[key], list):
+            raise SchemaError(f"config key {key} must be an array, got {type(doc[key]).__name__}")
     kwargs = dict(doc)
     kwargs["target_lengths_m"] = tuple(kwargs["target_lengths_m"])
     if "seeds" in kwargs:
@@ -220,26 +146,15 @@ def load_fixture(name: str) -> Fixture:
     )
 
 
-def builtin_fixtures(name: str) -> tuple[ExperimentConfig, list[tuple[float, float]]]:
-    """Config and reference observations of a built-in fixture."""
-    fixture = load_fixture(name)
-    return fixture.config, list(fixture.reference)
-
-
 def load_series_csv(data: bytes) -> np.ndarray:
     """Parse a single-column series CSV with an Ordered_Value header."""
-    text = data.decode("utf-8")
+    text = _decode(data, "series file")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SchemaError("series file is empty; Ordered_Value header required")
     if lines[0].strip('"') != "Ordered_Value":
         raise SchemaError(f"series header must be Ordered_Value, got {lines[0]!r}")
-    values = []
-    for idx, line in enumerate(lines[1:], start=1):
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise ParseError(f"row {idx}: unparseable numeric value") from None
+    values = [_finite(line, idx) for idx, line in enumerate(lines[1:], start=1)]
     if not values:
         raise InsufficientSamples("series file has no values")
     return np.asarray(values, dtype=np.float64)
@@ -247,7 +162,7 @@ def load_series_csv(data: bytes) -> np.ndarray:
 
 def load_reference_csv(data: bytes) -> list[tuple[float, float]]:
     """Parse reference observations from CSV with columns length_m,t_obs_c."""
-    text = data.decode("utf-8")
+    text = _decode(data, "reference file")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SchemaError("reference file is empty; header row required")
@@ -259,10 +174,7 @@ def load_reference_csv(data: bytes) -> list[tuple[float, float]]:
         cells = line.split(",")
         if len(cells) != 2:
             raise ParseError(f"row {idx}: expected 2 cells, got {len(cells)}")
-        try:
-            out.append((float(cells[0]), float(cells[1])))
-        except ValueError:
-            raise ParseError(f"row {idx}: unparseable numeric value") from None
+        out.append((_finite(cells[0], idx), _finite(cells[1], idx)))
     if not out:
         raise ValidationError("reference file has no observation rows")
     return out

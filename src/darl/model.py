@@ -12,17 +12,17 @@ The predictor is evaluated exactly as published:
 For realistic boundary temperatures this expression leaves the physical
 bracket [min(t_min, t_w), t_max] by a wide margin, so every prediction
 carries an out-of-range flag instead of being clamped or corrected.
-Alternative readings of the formula can be registered in
-:data:`DARL_MODES` and compared side by side; one such reading (dividing
-the temperature span by t_phi * r_squared instead) ships as the
-non-default mode ``span-over-phi-r2``.
+:data:`DARL_MODES` holds the readings compared side by side: the printed
+one and, as the non-default mode ``span-over-phi-r2``, one that divides
+the temperature span by t_phi * r_squared instead.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from statistics import fmean
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -58,18 +58,11 @@ def _span_over_phi_r2(t_max: float, t_min: float, t_w: float, t_phi: float, r_sq
     return ((t_max - t_min) / den) * t_w + t_phi
 
 
-#: Registered predictor readings, name -> f(t_max, t_min, t_w, t_phi, r2).
+#: Predictor readings, name -> f(t_max, t_min, t_w, t_phi, r2).
 DARL_MODES: dict[str, Callable[[float, float, float, float, float], float]] = {
     AS_PRINTED: _as_printed,
     SPAN_OVER_PHI_R2: _span_over_phi_r2,
 }
-
-
-def register_darl_mode(name: str, fn: Callable[[float, float, float, float, float], float]) -> None:
-    """Register an alternative predictor reading under ``name``."""
-    if name in DARL_MODES:
-        raise ValidationError(f"predictor mode {name!r} is already registered")
-    DARL_MODES[name] = fn
 
 
 def darl_temperature(
@@ -253,11 +246,14 @@ def compare_with_reference(
     return comparisons, rmse_by_seed
 
 
-def select_best_seed(comparisons: Iterable[ComparisonRecord]) -> int:
-    """Seed with the lowest mean relative error; ties go to the smaller seed."""
+def rank_seeds(comparisons: Iterable[ComparisonRecord]) -> list[tuple[float, int]]:
+    """(mean relative error %, seed) per seed, best first.
+
+    Ties go to the smaller seed, so ``rank_seeds(c)[0][1]`` is the best seed.
+    """
     by_seed: dict[int, list[float]] = {}
     for c in comparisons:
         by_seed.setdefault(c.seed, []).append(c.relative_error_pct)
     if not by_seed:
         raise InsufficientSamples("no comparison records to rank")
-    return min(by_seed, key=lambda s: (float(np.mean(by_seed[s])), s))
+    return sorted((fmean(errs), seed) for seed, errs in by_seed.items())

@@ -1,32 +1,32 @@
 """MT19937 pseudo-random generation and sorted bounded uniform series.
 
-The generator follows the published MT19937 reference algorithm exactly:
-the Knuth multiplicative seeding recurrence, the 624-word twist, the
-standard tempering transform, and the two-word 53-bit mapping to [0, 1).
-Raw word streams are therefore bit-reproducible against any conforming
-implementation seeded the same way.
+CPython's :class:`random.Random` is the reference MT19937 of Matsumoto and
+Nishimura (1998): the same 624-word twist and tempering, and ``random()``
+is the reference two-word 53-bit mapping to [0, 1) (``genrand_res53``).
+:class:`MersenneTwister` therefore only loads a seeded state into it, and
+its word and unit streams are bit-reproducible against any conforming
+implementation seeded the same way (``np.random.RandomState`` among them).
 
-Seeding is pluggable through :data:`SEEDING_POLICIES` so that alternative
-seed-scrambling schemes (some statistical environments preprocess the seed
-before handing it to MT19937) can be registered without touching the core.
-Only the reference policy ships by default.
+Seeding is the one part built here by hand. ``random.Random(seed)`` always
+runs the init-by-array scheme, even for a scalar seed, whereas the
+reference scalar seeding is the Knuth multiplicative recurrence; and a key
+packed into one integer loses its high zero words, so :meth:`from_key`
+runs the reference init-by-array recurrence over the key as given.
 """
 
 from __future__ import annotations
 
+import random
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidBounds, ValidationError
 
 _N = 624
-_M = 397
-_MATRIX_A = np.uint32(0x9908B0DF)
-_UPPER_MASK = np.uint32(0x80000000)  # most significant bit
-_LOWER_MASK = np.uint32(0x7FFFFFFF)  # lower 31 bits
 _WORD_MASK = 0xFFFFFFFF
 
 #: The five known Fermat primes, used as the default seed set.
@@ -35,19 +35,19 @@ KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 SORT_ORDERS = ("ascending", "descending")
 
 
-def _init_state(seed: int) -> np.ndarray:
+def _init_state(seed: int) -> list[int]:
     """Knuth recurrence: word[0]=seed, word[i]=1812433253*(w^(w>>30))+i mod 2^32."""
     words = [0] * _N
     prev = words[0] = seed
     for i in range(1, _N):
         prev = (1812433253 * (prev ^ (prev >> 30)) + i) & _WORD_MASK
         words[i] = prev
-    return np.array(words, dtype=np.uint32)
+    return words
 
 
-def _init_state_by_key(key: Sequence[int]) -> np.ndarray:
+def _init_state_by_key(key: Sequence[int]) -> list[int]:
     """Array seeding from the reference generator (used for golden vectors)."""
-    mt = [int(w) for w in _init_state(19650218)]
+    mt = _init_state(19650218)
     i, j = 1, 0
     for _ in range(max(len(key), _N)):
         mt[i] = ((mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525)) + key[j] + j) & _WORD_MASK
@@ -65,56 +65,39 @@ def _init_state_by_key(key: Sequence[int]) -> np.ndarray:
             mt[0] = mt[_N - 1]
             i = 1
     mt[0] = 0x80000000  # guarantee a nonzero state
-    return np.array(mt, dtype=np.uint32)
+    return mt
 
 
 # Seeding is a pure function of the seed, and experiment runs construct
 # generators for the same handful of seeds over and over; memoise the seeded
-# state and hand out copies. The cached arrays are frozen so no caller can
-# corrupt the shared snapshot.
+# state. A packed word array keeps each entry at 2.5 KiB, a tenth of a tuple
+# of Python ints.
 
 @lru_cache(maxsize=128)
-def _seeded_state(seed: int) -> np.ndarray:
-    state = _init_state(seed)
-    state.setflags(write=False)
-    return state
+def _seeded_state(seed: int) -> array:
+    return array("I", _init_state(seed))
 
 
 @lru_cache(maxsize=32)
-def _key_seeded_state(key: tuple[int, ...]) -> np.ndarray:
-    state = _init_state_by_key(key)
-    state.setflags(write=False)
-    return state
+def _key_seeded_state(key: tuple[int, ...]) -> array:
+    return array("I", _init_state_by_key(key))
 
 
-def _temper(words: np.ndarray) -> np.ndarray:
-    y = words.copy()
-    y ^= y >> np.uint32(11)
-    y ^= (y << np.uint32(7)) & np.uint32(0x9D2C5680)
-    y ^= (y << np.uint32(15)) & np.uint32(0xEFC60000)
-    y ^= y >> np.uint32(18)
-    return y
+class MersenneTwister(random.Random):
+    """:class:`random.Random` seeded by the reference MT19937 recurrences.
 
-
-class MersenneTwister:
-    """Full MT19937 state: 624 words plus a cursor in [0, 624].
-
-    The twist is evaluated one 624-word block at a time (vectorised), and
-    tempered outputs for the current block are cached; ``next_word`` serves
-    from the cache, so the word stream is identical to the scalar reference
-    loop. Instances are not safe for concurrent draws; hand the generator
-    over, never share it.
+    Instances are not safe for concurrent draws; hand the generator over,
+    never share it.
     """
-
-    __slots__ = ("_mt", "_block", "_cursor")
 
     def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed <= _WORD_MASK:
             raise ValidationError(f"seed must be an unsigned 32-bit integer, got {seed}")
-        self._mt = _seeded_state(seed).copy()
-        self._block: np.ndarray | None = None
-        self._cursor = _N
+        self._load(_seeded_state(seed))
+
+    def _load(self, words: array) -> None:
+        self.setstate((3, (*words, _N), None))
 
     @classmethod
     def from_key(cls, key: Sequence[int]) -> "MersenneTwister":
@@ -123,115 +106,19 @@ class MersenneTwister:
             raise ValidationError("seeding key must be nonempty")
         key = tuple(int(k) & _WORD_MASK for k in key)
         gen = cls.__new__(cls)
-        gen._mt = _key_seeded_state(key).copy()
-        gen._block = None
-        gen._cursor = _N
+        gen._load(_key_seeded_state(key))
         return gen
 
-    @property
-    def words(self) -> tuple[int, ...]:
-        """Snapshot of the 624 raw (untempered) state words."""
-        return tuple(int(w) for w in self._mt)
-
-    @property
-    def cursor(self) -> int:
-        return self._cursor
-
-    def _twist(self) -> None:
-        # The reference loop updates in place, so later entries read words
-        # refreshed earlier in the same pass. Split into chunks short enough
-        # that each chunk only reads words from completed chunks.
-        mt = self._mt
-        one = np.uint32(1)
-        zero = np.uint32(0)
-
-        y = (mt[0:227] & _UPPER_MASK) | (mt[1:228] & _LOWER_MASK)
-        mt[0:227] = mt[397:624] ^ (y >> one) ^ np.where(y & one, _MATRIX_A, zero)
-
-        y = (mt[227:454] & _UPPER_MASK) | (mt[228:455] & _LOWER_MASK)
-        mt[227:454] = mt[0:227] ^ (y >> one) ^ np.where(y & one, _MATRIX_A, zero)
-
-        y = (mt[454:623] & _UPPER_MASK) | (mt[455:624] & _LOWER_MASK)
-        mt[454:623] = mt[227:396] ^ (y >> one) ^ np.where(y & one, _MATRIX_A, zero)
-
-        y = (mt[623] & _UPPER_MASK) | (mt[0] & _LOWER_MASK)
-        mt[623] = mt[396] ^ (y >> one) ^ (_MATRIX_A if y & one else zero)
-
-        self._block = _temper(mt)
-        self._cursor = 0
-
-    def next_word(self) -> int:
-        """Next tempered 32-bit output."""
-        if self._cursor >= _N:
-            self._twist()
-        value = int(self._block[self._cursor])
-        self._cursor += 1
-        return value
-
-    def next_unit(self) -> float:
-        """Next value in [0, 1) at 53-bit resolution.
-
-        Combines two consecutive words a, b as ((a>>5)*2^26 + (b>>6)) / 2^53,
-        the standard high-resolution mapping of the reference generator.
-        """
-        a = self.next_word() >> 5
-        b = self.next_word() >> 6
-        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
-
     def draw_words(self, count: int) -> np.ndarray:
-        """Vectorised batch of ``count`` tempered words (same stream as next_word)."""
-        out = np.empty(count, dtype=np.uint32)
-        filled = 0
-        while filled < count:
-            if self._cursor >= _N:
-                self._twist()
-            take = min(_N - self._cursor, count - filled)
-            out[filled:filled + take] = self._block[self._cursor:self._cursor + take]
-            self._cursor += take
-            filled += take
-        return out
+        """The next ``count`` tempered 32-bit words (same stream as getrandbits(32))."""
+        return np.frombuffer(self.randbytes(4 * count), dtype="<u4").astype(np.uint32)
 
     def draw_units(self, count: int) -> np.ndarray:
-        """Vectorised batch of ``count`` unit-interval draws (two words each)."""
+        """The next ``count`` unit-interval draws (same stream as random())."""
         w = self.draw_words(2 * count)
         a = (w[0::2] >> np.uint32(5)).astype(np.float64)
         b = (w[1::2] >> np.uint32(6)).astype(np.float64)
         return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
-
-
-#: Registered seeding policies, name -> generator factory. "reference" is the
-#: published initialisation recurrence; environment-specific scramblers can be
-#: registered here later without changing callers.
-SEEDING_POLICIES: dict[str, Callable[[int], MersenneTwister]] = {
-    "reference": MersenneTwister,
-}
-
-
-def seed_generator(seed: int, policy: str = "reference") -> MersenneTwister:
-    """Fully initialised generator for ``seed`` under the given seeding policy."""
-    try:
-        factory = SEEDING_POLICIES[policy]
-    except KeyError:
-        known = ", ".join(sorted(SEEDING_POLICIES))
-        raise ValidationError(f"unknown seeding policy {policy!r} (known: {known})") from None
-    return factory(seed)
-
-
-@dataclass(frozen=True)
-class FermatSeedSet:
-    """Strictly increasing seed list drawn from the known Fermat primes."""
-
-    seeds: tuple[int, ...] = KNOWN_FERMAT_PRIMES
-
-    def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.seeds:
-            raise ValidationError("seed set must be nonempty")
-        for s in self.seeds:
-            if s not in KNOWN_FERMAT_PRIMES:
-                raise ValidationError(f"{s} is not a known Fermat prime {KNOWN_FERMAT_PRIMES}")
-        if any(a >= b for a, b in zip(self.seeds, self.seeds[1:])):
-            raise ValidationError("seed set must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -272,7 +159,7 @@ def uniform_series(
     if order not in SORT_ORDERS:
         raise ValidationError(f"order must be one of {SORT_ORDERS}, got {order!r}")
 
-    units = seed_generator(seed).draw_units(n)
+    units = MersenneTwister(seed).draw_units(n)
     values = t_min + units * (t_max - t_min)
     # guard the closed-bound contract against the last-ulp of the affine map
     np.clip(values, t_min, t_max, out=values)

@@ -371,3 +371,49 @@ def test_subprocess_usage_error_exit_2():
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 2
+
+
+def write_raw_config(tmp_path, **overrides):
+    doc = json.loads(write_config(tmp_path).read_bytes())
+    doc.update(overrides)
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def assert_one_error_line(capsys, reason):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0], err
+
+
+BAD_CELLS = pytest.mark.parametrize("cell, reason", [
+    (b"28.8\xff", "not valid UTF-8"),
+    (b"nan", "non-finite"),
+], ids=["non-utf8", "nan"])
+
+
+@BAD_CELLS
+def test_validate_bad_series_file_exit_2(tmp_path, capsys, cell, reason):
+    series = tmp_path / "bad.csv"
+    series.write_bytes(b"Ordered_Value\n25.0\n" + cell + b"\n26.0\n")
+    assert main(["validate", "--series", str(series), "--format", "json"]) == 2
+    assert_one_error_line(capsys, reason)
+
+
+@BAD_CELLS
+def test_run_bad_reference_file_exit_2(tmp_path, capsys, cell, reason):
+    config_path = write_config(tmp_path)
+    reference = tmp_path / "reference.csv"
+    reference.write_bytes(b"length_m,t_obs_c\n2.5," + cell + b"\n3.4,27.37\n4.4,26.67\n")
+    rc = main(["run", "--config", str(config_path), "--reference", str(reference),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert_one_error_line(capsys, reason)
+
+
+@pytest.mark.parametrize("overrides", [{"seeds": "35"}, {"target_lengths_m": 1.0}])
+def test_run_config_list_keys_must_be_arrays_exit_2(tmp_path, capsys, overrides):
+    config_path = write_raw_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 2
+    assert_one_error_line(capsys, "must be an array")
+    assert not (tmp_path / "raw-report.json").exists()

@@ -1,125 +1,25 @@
-"""Sensor-log parsing, config round-trips, built-in fixtures."""
+"""Config round-trips, built-in fixtures, series and reference CSV files."""
 
 import json
 
-import numpy as np
 import pytest
 
 from darl.errors import (
     InsufficientSamples,
-    OrderingError,
     ParseError,
     SchemaError,
     UnknownFixture,
     ValidationError,
 )
 from darl.ingest import (
-    CHANNEL_NAMES,
     FIXTURE_NAMES,
-    SensorLog,
-    builtin_fixtures,
     dump_config,
     load_config,
     load_fixture,
     load_reference_csv,
     load_series_csv,
-    parse_sensor_csv,
-    summarize_channel,
 )
-from darl.model import ExperimentConfig
 from darl.stats import relative_error
-
-HEADER = "timestamp_s," + ",".join(CHANNEL_NAMES)
-
-
-def sensor_csv(rows):
-    return ("\n".join([HEADER] + rows) + "\n").encode("utf-8")
-
-
-def make_row(t, values=None):
-    cells = [str(t)] + [str(v) for v in (values or [24.0] * 7)]
-    return ",".join(cells)
-
-
-def test_parse_well_formed_three_rows():
-    log = parse_sensor_csv(sensor_csv([make_row(0), make_row(7), make_row(14)]))
-    assert len(log) == 3
-    for name in CHANNEL_NAMES:
-        assert len(log.channels[name]) == 3
-    assert log.sensor_uncertainty == 0.05
-
-
-def test_parse_full_cadence_log():
-    # 300 minutes at a 7 second cadence: floor(300*60/7) + 1 = 2572 rows
-    rows = [make_row(7 * i, [24.0 + 0.001 * i] * 7) for i in range(2572)]
-    assert 7 * 2571 <= 300 * 60
-    log = parse_sensor_csv(sensor_csv(rows))
-    assert len(log) == 2572
-
-
-def test_parse_missing_channel_column():
-    header = "timestamp_s," + ",".join(c for c in CHANNEL_NAMES if c != "T_w")
-    data = (header + "\n0,1,2,3,4,5,6\n").encode()
-    with pytest.raises(SchemaError, match="T_w"):
-        parse_sensor_csv(data)
-
-
-def test_parse_requires_timestamp_first():
-    data = ("T_in," + ",".join(CHANNEL_NAMES[1:]) + ",timestamp_s\n").encode()
-    with pytest.raises(SchemaError):
-        parse_sensor_csv(data)
-
-
-def test_parse_rejects_non_monotone_timestamps():
-    with pytest.raises(OrderingError):
-        parse_sensor_csv(sensor_csv([make_row(0), make_row(14), make_row(7)]))
-    with pytest.raises(OrderingError):
-        parse_sensor_csv(sensor_csv([make_row(0), make_row(0)]))
-
-
-def test_parse_reports_bad_row_index():
-    rows = [make_row(0), make_row(7), "14,24,24,oops,24,24,24,24"]
-    with pytest.raises(ParseError, match="row 3"):
-        parse_sensor_csv(sensor_csv(rows))
-
-
-def test_parse_rejects_ragged_rows():
-    with pytest.raises(ParseError, match="row 1"):
-        parse_sensor_csv(sensor_csv(["0,24,24"]))
-
-
-def test_parse_empty_file():
-    with pytest.raises(SchemaError):
-        parse_sensor_csv(b"")
-
-
-def test_summarize_constant_channel():
-    log = parse_sensor_csv(sensor_csv([make_row(7 * i, [24.28] * 7) for i in range(5)]))
-    summary = summarize_channel(log, "T_w")
-    assert summary.mean == 24.28
-    assert summary.std == 0.0
-    assert summary.count == 5
-
-
-def test_summarize_matches_published_groundwater_spread():
-    # [24.19, 24.28, 24.37] has mean 24.28 and sample std exactly 0.09
-    rows = [make_row(0, [24.19] * 7), make_row(7, [24.28] * 7), make_row(14, [24.37] * 7)]
-    summary = summarize_channel(parse_sensor_csv(sensor_csv(rows)), "T_w")
-    assert abs(summary.mean - 24.28) < 1e-6
-    assert abs(summary.std - 0.09) < 1e-6
-
-
-def test_summarize_unknown_channel():
-    log = parse_sensor_csv(sensor_csv([make_row(0)]))
-    with pytest.raises(SchemaError):
-        summarize_channel(log, "S9")
-
-
-def test_summarize_empty_channel():
-    empty = np.array([], dtype=np.float64)
-    log = SensorLog(timestamps=empty, channels={name: empty for name in CHANNEL_NAMES})
-    with pytest.raises(InsufficientSamples):
-        summarize_channel(log, "T_in")
 
 
 def config_doc(**overrides):
@@ -226,12 +126,6 @@ def test_unknown_fixture():
         load_fixture("experiment-c")
 
 
-def test_builtin_fixtures_interface():
-    config, reference = builtin_fixtures("experiment-a")
-    assert isinstance(config, ExperimentConfig)
-    assert reference == [(2.5, 28.80), (3.4, 27.37), (4.4, 26.67)]
-
-
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_self_consistency(name):
     # back-computed observations must reproduce the published error column
@@ -251,6 +145,10 @@ def test_load_series_csv():
         load_series_csv(b"Wrong_Header\n1.0\n")
     with pytest.raises(ParseError, match="row 2"):
         load_series_csv(b"Ordered_Value\n1.0\nxyz\n")
+    with pytest.raises(ParseError, match="row 2: non-finite"):
+        load_series_csv(b"Ordered_Value\n1.0\n-inf\n")
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        load_series_csv(b"Ordered_Value\n1.0\n\xff\n")
     with pytest.raises(InsufficientSamples):
         load_series_csv(b"Ordered_Value\n")
 
@@ -262,5 +160,10 @@ def test_load_reference_csv():
         load_reference_csv(b"length,t\n2.5,28.8\n")
     with pytest.raises(ParseError):
         load_reference_csv(b"length_m,t_obs_c\n2.5,bad\n")
+    with pytest.raises(ParseError, match="row 1: non-finite"):
+        load_reference_csv(b"length_m,t_obs_c\nnan,28.8\n")
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        load_reference_csv(b"length_m,t_obs_c\n2.5,\xfe28.8\n")
     with pytest.raises(ValidationError):
         load_reference_csv(b"length_m,t_obs_c\n")
+

@@ -24,9 +24,8 @@ from darl.model import (
     build_series,
     compare_with_reference,
     darl_temperature,
-    register_darl_mode,
+    rank_seeds,
     run_configuration,
-    select_best_seed,
 )
 from darl.regression import fit_ols
 
@@ -114,18 +113,6 @@ def test_unknown_mode_rejected():
 def test_mode_registry_contents():
     assert AS_PRINTED in DARL_MODES
     assert SPAN_OVER_PHI_R2 in DARL_MODES
-
-
-def test_register_darl_mode():
-    name = "test-only-mode"
-    try:
-        register_darl_mode(name, lambda tmax, tmin, tw, tphi, r2: tphi)
-        t_sim, _ = darl_temperature(31.01, 25.81, 24.28, 28.0, 0.95, mode=name)
-        assert t_sim == 28.0
-        with pytest.raises(ValidationError):
-            register_darl_mode(name, lambda *a: 0.0)
-    finally:
-        DARL_MODES.pop(name, None)
 
 
 def test_config_validation_accepts_fixture_shapes():
@@ -266,8 +253,8 @@ def comparison(seed, err, length=2.5):
 
 
 def test_select_best_seed_tie_break():
-    comparisons = [comparison(seed, 2.0) for seed in (3, 5, 17)]
-    assert select_best_seed(comparisons) == 3
+    comparisons = [comparison(seed, 2.0) for seed in (17, 3, 5)]
+    assert rank_seeds(comparisons) == [(2.0, 3), (2.0, 5), (2.0, 17)]
 
 
 def test_select_best_seed_prefers_lowest_mean():
@@ -276,13 +263,13 @@ def test_select_best_seed_prefers_lowest_mean():
         comparison(5, 1.0), comparison(5, 2.0),
         comparison(17, 2.0), comparison(17, 6.0),
     ]
-    assert select_best_seed(comparisons) == 5
+    assert rank_seeds(comparisons) == [(1.5, 5), (4.0, 3), (4.0, 17)]
 
 
 def test_select_best_seed_single_and_empty():
-    assert select_best_seed([comparison(257, 9.0)]) == 257
+    assert rank_seeds([comparison(257, 9.0)]) == [(9.0, 257)]
     with pytest.raises(InsufficientSamples):
-        select_best_seed([])
+        rank_seeds([])
 
 
 def test_degenerate_seed_skipped_with_diagnostic(monkeypatch, caplog):

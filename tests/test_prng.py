@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from darl.errors import InsufficientSamples, InvalidBounds, ValidationError
-from darl.prng import (
-    KNOWN_FERMAT_PRIMES,
-    FermatSeedSet,
-    MersenneTwister,
-    seed_generator,
-    uniform_series,
-)
+from darl.prng import KNOWN_FERMAT_PRIMES, MersenneTwister, uniform_series
 
 from golden_data import (
     FIRST_UNIT_SEED_5,
@@ -23,18 +17,18 @@ from golden_data import (
 
 
 def test_seeding_sets_word0_and_cursor():
-    gen = MersenneTwister(5)
-    assert gen.words[0] == 5
-    assert gen.cursor == 624
+    words = MersenneTwister(5).getstate()[1]
+    assert words[0] == 5
+    assert words[624] == 624
 
 
 def test_same_seed_gives_identical_states():
-    assert MersenneTwister(5).words == MersenneTwister(5).words
+    assert MersenneTwister(5).getstate() == MersenneTwister(5).getstate()
 
 
 def test_seed_zero_is_valid_and_nonzero():
-    gen = MersenneTwister(0)
-    assert any(w != 0 for w in gen.words)
+    words = MersenneTwister(0).getstate()[1][:624]
+    assert any(w != 0 for w in words)
 
 
 @pytest.mark.parametrize("bad", [-1, 2**32, 2**40])
@@ -45,7 +39,7 @@ def test_out_of_range_seed_rejected(bad):
 
 @pytest.mark.parametrize("edge", [0, 2**32 - 1])
 def test_edge_seeds_accepted(edge):
-    MersenneTwister(edge).next_word()
+    MersenneTwister(edge).getrandbits(32)
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_WORDS))
@@ -56,13 +50,13 @@ def test_golden_words_per_fermat_seed(seed):
 
 def test_golden_array_seeded_vector():
     gen = MersenneTwister.from_key(GOLDEN_KEY)
-    assert gen.next_word() == 1067595299
+    assert gen.getrandbits(32) == 1067595299
     gen = MersenneTwister.from_key(GOLDEN_KEY)
     assert tuple(gen.draw_words(10).tolist()) == GOLDEN_KEY_WORDS
 
 
 def test_first_output_seed5_matches_golden():
-    assert MersenneTwister(5).next_word() == GOLDEN_WORDS[5][0]
+    assert MersenneTwister(5).getrandbits(32) == GOLDEN_WORDS[5][0]
 
 
 def test_draw_words_range():
@@ -85,20 +79,20 @@ def test_single_and_bulk_draws_share_one_stream():
     for _ in range(20):
         count = rng.randint(1, 700)
         chunk = gen_bulk.draw_words(count).tolist()
-        assert chunk == [gen_single.next_word() for _ in range(count)]
+        assert chunk == [gen_single.getrandbits(32) for _ in range(count)]
 
 
 def test_cursor_stays_in_range():
     gen = MersenneTwister(17)
     for _ in range(1500):
-        gen.next_word()
-        assert 0 <= gen.cursor <= 624
+        gen.getrandbits(32)
+        assert 0 <= gen.getstate()[1][624] <= 624
 
 
 def test_first_unit_is_combination_of_first_two_words():
     w0, w1 = GOLDEN_WORDS[5][:2]
     expected = ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53
-    assert MersenneTwister(5).next_unit() == expected
+    assert MersenneTwister(5).random() == expected
     assert expected == FIRST_UNIT_SEED_5
 
 
@@ -123,12 +117,33 @@ def test_unit_empirical_cdf_close_to_uniform():
     assert max(d_plus, d_minus) < 0.02
 
 
-def test_draw_units_matches_next_unit_stream():
+def test_draw_units_matches_random_stream():
     gen_a = MersenneTwister(3)
     gen_b = MersenneTwister(3)
     bulk = gen_a.draw_units(1000)
-    singles = np.array([gen_b.next_unit() for _ in range(1000)])
+    singles = np.array([gen_b.random() for _ in range(1000)])
     assert np.array_equal(bulk, singles)
+
+
+@pytest.mark.parametrize("seed", KNOWN_FERMAT_PRIMES + (0, 2**32 - 1))
+def test_draw_units_match_numpy_random_state(seed):
+    # an independent MT19937 over 10,000 units, i.e. 20,000 words and 33 twists
+    expected = np.random.RandomState(seed).random_sample(10_000)
+    assert np.array_equal(MersenneTwister(seed).draw_units(10_000), expected)
+
+
+def test_from_key_state_matches_numpy_random_state():
+    # numpy squeezes a one-element key to scalar seeding, so keys have 2..8 words
+    rng = random.Random(20261017)
+    for case in range(300):
+        key = [rng.randrange(2**32) for _ in range(rng.randint(2, 8))]
+        if case % 3 == 0:  # end in zero words, which packing the key into an int would drop
+            zeros = rng.randint(1, len(key) - 1)
+            key[-zeros:] = [0] * zeros
+        expected = np.random.RandomState(np.array(key)).get_state()[1]
+        words = MersenneTwister.from_key(key).getstate()[1]
+        assert list(words[:624]) == expected.tolist(), key
+        assert words[624] == 624
 
 
 def test_uniform_series_published_configuration():
@@ -184,24 +199,3 @@ def test_uniform_series_property_battery():
         assert series.values.max() <= hi
         diffs = np.diff(series.values)
         assert np.all(diffs >= 0.0) if order == "ascending" else np.all(diffs <= 0.0)
-
-
-def test_fermat_seed_set_default():
-    assert FermatSeedSet().seeds == (3, 5, 17, 257, 65537)
-
-
-def test_fermat_seed_set_validation():
-    FermatSeedSet((5, 257))
-    with pytest.raises(ValidationError):
-        FermatSeedSet((3, 4))
-    with pytest.raises(ValidationError):
-        FermatSeedSet((17, 5))
-    with pytest.raises(ValidationError):
-        FermatSeedSet(())
-
-
-def test_seed_generator_policies():
-    gen = seed_generator(5)
-    assert gen.next_word() == GOLDEN_WORDS[5][0]
-    with pytest.raises(ValidationError):
-        seed_generator(5, policy="mystery")
