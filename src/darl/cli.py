@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import DarlError, NumericalDegeneracy, ValidationError
+from .errors import DarlError, NumericalDegeneracy, UnsupportedSampleSize, ValidationError
 from .ingest import (
     FIXTURE_NAMES,
     Fixture,
@@ -28,8 +28,11 @@ from .ingest import (
 from .model import (
     DARL_MODES,
     ExperimentConfig,
+    SeedFit,
     build_series,
     compare_with_reference,
+    fit_seeds,
+    predict,
     rank_seeds,
     run_configuration,
 )
@@ -90,15 +93,25 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config
 
 
-def _distribution_stats(values) -> dict:
-    """Shapiro-Wilk and quartile summary of one series, in report key order."""
-    norm = shapiro_wilk(values)
+def _distribution_stats(values, strict: bool = True) -> dict:
+    """Shapiro-Wilk and quartile summary of one series, in report key order.
+
+    Unless ``strict``, a sample size outside the test's range gives
+    null W, p and verdict instead of an UnsupportedSampleSize error.
+    """
+    try:
+        norm = shapiro_wilk(values)
+        w, p, rejected = norm.w_statistic, norm.p_value, norm.rejected
+    except UnsupportedSampleSize:
+        if strict:
+            raise
+        w = p = rejected = None
     quart = quartile_summary(values)
     return {
-        "n": norm.n,
-        "w_statistic": norm.w_statistic,
-        "p_value": norm.p_value,
-        "normality_rejected": norm.rejected,
+        "n": len(values),
+        "w_statistic": w,
+        "p_value": p,
+        "normality_rejected": rejected,
         "q1": quart.q1,
         "median": quart.q2,
         "q3": quart.q3,
@@ -106,24 +119,21 @@ def _distribution_stats(values) -> dict:
     }
 
 
-def _series_stats(config: ExperimentConfig) -> list[dict]:
-    return [
-        {"seed": seed, **_distribution_stats(build_series(config, seed)[1].values)}
-        for seed in sorted(config.seeds)
-    ]
-
-
-def _discrepancy_block(fixture: Fixture) -> dict:
+def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[SeedFit]) -> dict:
     """Published comparison rows beside this artifact's values, every mode.
 
     Always evaluated on the pristine fixture config (the published
     protocol), regardless of run-time overrides, so the recorded
-    discrepancy is stable.
+    discrepancy is stable. Every mode reads the run's own fits unless an
+    override other than the mode changed them.
     """
+    pristine = fixture.config
+    if replace(config, darl_mode=pristine.darl_mode) != pristine:
+        fits = fit_seeds(pristine)
     modes = sorted(DARL_MODES)
     per_mode = {}
     for mode in modes:
-        records = run_configuration(replace(fixture.config, darl_mode=mode))
+        records = predict(replace(pristine, darl_mode=mode), fits)
         comps, _ = compare_with_reference(records, fixture.reference)
         per_mode[mode] = {(c.seed, c.target_length_m): c for c in comps}
     rows = []
@@ -168,7 +178,8 @@ def _build_report(
     reference: list[tuple[float, float]] | None,
     fixture: Fixture | None,
 ):
-    records = run_configuration(config)
+    fits = fit_seeds(config)
+    records = predict(config, fits)
     report = {
         "tool": "darl",
         "version": __version__,
@@ -176,7 +187,10 @@ def _build_report(
         "kind": "fixture" if fixture is not None else "config",
         "config": config_to_mapping(config),
         "sample_count": config.sample_count(),
-        "series": _series_stats(config),
+        "series": [
+            {"seed": sf.seed, **_distribution_stats(sf.values, strict=False)}
+            for sf in fits
+        ],
         "predictions": [
             {
                 "seed": r.seed,
@@ -206,7 +220,7 @@ def _build_report(
         report["rmse_by_seed"] = dict(sorted(rmse_by_seed.items()))
         report["best_seed"] = rank_seeds(comparisons)[0][1]
     if fixture is not None:
-        report["discrepancy_report"] = _discrepancy_block(fixture)
+        report["discrepancy_report"] = _discrepancy_block(fixture, config, fits)
     return report, comparisons
 
 
@@ -223,6 +237,9 @@ def _run_tables(report: dict) -> str:
                 (
                     s["seed"], s["n"], s["w_statistic"], format(s["p_value"], ".3e"),
                     "rejected" if s["normality_rejected"] else "retained",
+                    s["q1"], s["median"], s["q3"], s["iqr"],
+                ) if s["w_statistic"] is not None else (
+                    s["seed"], s["n"], "n/a", "n/a", "n/a",
                     s["q1"], s["median"], s["q3"], s["iqr"],
                 )
                 for s in report["series"]

@@ -22,7 +22,15 @@ from .serialize import render_json
 FIXTURE_NAMES = ("experiment-a", "experiment-b")
 
 _CONFIG_REQUIRED = ("t_in_c", "t_end_c", "t_w_c", "total_length_m", "target_lengths_m")
-_CONFIG_OPTIONAL = ("t_w_uncertainty_c", "seeds", "n_override", "sort_order", "darl_mode")
+
+#: JSON value type of every config key; for an array key, of each element.
+_CONFIG_TYPES = {
+    "t_in_c": "a number", "t_end_c": "a number", "t_w_c": "a number",
+    "total_length_m": "a number", "target_lengths_m": "a number",
+    "t_w_uncertainty_c": "a number", "seeds": "an integer", "n_override": "an integer",
+    "sort_order": "a string", "darl_mode": "a string",
+}
+_JSON_TYPES = {"a number": (int, float), "an integer": int, "a string": str}
 
 
 def _decode(data: bytes, what: str) -> str:
@@ -42,28 +50,43 @@ def _finite(cell: str, idx: int) -> float:
     return value
 
 
+def _check_type(key: str, value) -> None:
+    """SchemaError unless ``value`` has the JSON type of ``key`` (and is finite)."""
+    kind = _CONFIG_TYPES[key]
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise SchemaError(f"config key {key} must be {kind}, got {type(value).__name__}")
+    if kind == "a number":
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise SchemaError(f"config key {key} must be a finite number")
+
+
 def _config_from_mapping(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise SchemaError(f"config document must be an object, got {type(doc).__name__}")
     for key in _CONFIG_REQUIRED:
         if key not in doc:
             raise SchemaError(f"config lacks required key {key}")
-    for key in doc:
-        if key not in _CONFIG_REQUIRED and key not in _CONFIG_OPTIONAL:
+    for key, value in doc.items():
+        if key not in _CONFIG_TYPES:
             raise SchemaError(f"config has unknown key {key}")
-    for key in ("target_lengths_m", "seeds"):
-        if key in doc and not isinstance(doc[key], list):
-            raise SchemaError(f"config key {key} must be an array, got {type(doc[key]).__name__}")
+        if key in ("target_lengths_m", "seeds"):
+            if not isinstance(value, list):
+                raise SchemaError(f"config key {key} must be an array, got {type(value).__name__}")
+            for item in value:
+                _check_type(key, item)
+        elif not (key == "n_override" and value is None):
+            _check_type(key, value)
     kwargs = dict(doc)
     kwargs["target_lengths_m"] = tuple(kwargs["target_lengths_m"])
     if "seeds" in kwargs:
         kwargs["seeds"] = tuple(kwargs["seeds"])
     if kwargs.get("n_override", None) is None:
         kwargs.pop("n_override", None)
-    try:
-        config = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise SchemaError(f"malformed config: {exc}") from None
+    config = ExperimentConfig(**kwargs)
     config.validate()
     return config
 
@@ -169,12 +192,15 @@ def load_reference_csv(data: bytes) -> list[tuple[float, float]]:
     header = [cell.strip().strip('"') for cell in lines[0].split(",")]
     if header != ["length_m", "t_obs_c"]:
         raise SchemaError(f"reference header must be length_m,t_obs_c, got {header}")
-    out: list[tuple[float, float]] = []
+    out: dict[float, float] = {}
     for idx, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != 2:
             raise ParseError(f"row {idx}: expected 2 cells, got {len(cells)}")
-        out.append((_finite(cells[0], idx), _finite(cells[1], idx)))
+        length = _finite(cells[0], idx)
+        if length in out:
+            raise ParseError(f"row {idx}: duplicate length {length} m")
+        out[length] = _finite(cells[1], idx)
     if not out:
         raise ValidationError("reference file has no observation rows")
-    return out
+    return list(out.items())

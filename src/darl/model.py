@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .prng import KNOWN_FERMAT_PRIMES, SORT_ORDERS, UniformSeries, uniform_series
-from .regression import fit_ols, predict_at
+from .regression import LinearFit, fit_ols, predict_at
 from .stats import relative_error, rmse
 
 log = logging.getLogger(__name__)
@@ -185,33 +185,52 @@ def build_series(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, Unifo
     return grid, series
 
 
-def run_configuration(config: ExperimentConfig) -> list[PredictionRecord]:
-    """All predictions for a configuration, ordered by (seed, target length).
+@dataclass(frozen=True)
+class SeedFit:
+    """One seed's series values and its fit (None when the fit degenerates)."""
 
-    One series and one fit per seed over the full length, evaluated at every
-    target. A seed whose fit degenerates is skipped with a logged diagnostic;
-    the output is a pure function of the configuration.
-    """
+    seed: int
+    values: np.ndarray
+    fit: LinearFit | None
+
+
+def fit_seeds(config: ExperimentConfig) -> list[SeedFit]:
+    """One series and one fit per seed, in seed order; a degenerate fit is logged."""
     config.validate()
-    records: list[PredictionRecord] = []
+    out: list[SeedFit] = []
     for seed in sorted(config.seeds):
         grid, series = build_series(config, seed)
         try:
             fit = fit_ols(zip(grid.tolist(), series.values.tolist()))
         except DegenerateVariance as exc:
             log.warning("seed %d skipped: %s", seed, exc)
+            fit = None
+        out.append(SeedFit(seed, series.values, fit))
+    return out
+
+
+def predict(config: ExperimentConfig, fits: Iterable[SeedFit]) -> list[PredictionRecord]:
+    """Predictions under ``config.darl_mode`` at every target length, per fitted seed."""
+    records: list[PredictionRecord] = []
+    for sf in fits:
+        if sf.fit is None:
             continue
         for x in sorted(config.target_lengths_m):
-            t_phi = predict_at(fit, x)
+            t_phi = predict_at(sf.fit, x)
             t_sim, flagged = darl_temperature(
                 config.t_in_c, config.t_end_c, config.t_w_c,
-                t_phi, fit.r_squared, mode=config.darl_mode,
+                t_phi, sf.fit.r_squared, mode=config.darl_mode,
             )
             records.append(PredictionRecord(
-                seed=seed, target_length_m=x, t_phi_c=t_phi,
-                r_squared=fit.r_squared, t_sim_c=t_sim, out_of_range=flagged,
+                seed=sf.seed, target_length_m=x, t_phi_c=t_phi,
+                r_squared=sf.fit.r_squared, t_sim_c=t_sim, out_of_range=flagged,
             ))
     return records
+
+
+def run_configuration(config: ExperimentConfig) -> list[PredictionRecord]:
+    """All predictions for a configuration, ordered by (seed, target length)."""
+    return predict(config, fit_seeds(config))
 
 
 def compare_with_reference(

@@ -16,6 +16,7 @@ runs the reference init-by-array recurrence over the key as given.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -154,6 +155,8 @@ def uniform_series(
     """
     if n < 2:
         raise InsufficientSamples(f"series needs at least 2 values, got {n}")
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise InvalidBounds(f"bounds must be finite, got [{t_min}, {t_max}]")
     if t_min > t_max:
         raise InvalidBounds(f"t_min {t_min} exceeds t_max {t_max}")
     if order not in SORT_ORDERS:

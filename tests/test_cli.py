@@ -1,11 +1,14 @@
 """Command-line behavior: artifacts, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+import darl.model
 from darl.cli import main
 from darl.ingest import dump_config, load_config
 from darl.model import ExperimentConfig, run_configuration
@@ -417,3 +420,119 @@ def test_run_config_list_keys_must_be_arrays_exit_2(tmp_path, capsys, overrides)
     assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 2
     assert_one_error_line(capsys, "must be an array")
     assert not (tmp_path / "raw-report.json").exists()
+
+
+# sha256 of (report JSON, plot CSV) per (fixture, mode); the same values are
+# pinned by the benchmark's output checks.
+PINNED_ARTIFACTS = {
+    ("experiment-a", "as-printed"): (
+        "499d3bd815900fca87246d86124c11cc4d61f8a844182faa267efd645cf8f31c",
+        "6d08e4bbc479443cd98e39c9790ff494f839ef11783c6afeefe370e8ff4a38de"),
+    ("experiment-a", "span-over-phi-r2"): (
+        "09250184cb82b388cce3663ab39b3951da6623692426786dd535aa78719a2d82",
+        "159c2b03dd0500f5427965da6fb0fdceb3124d7ab18da5549431036939ae7ff0"),
+    ("experiment-b", "as-printed"): (
+        "4bdec23f8033368a76c4c019bc3f560e8dd47c7f6544ca162f83098fc81996b5",
+        "7879bde4b4448eab6b712d4e86569380eecc11a078d1ef35268d3cb92ac7fb90"),
+    ("experiment-b", "span-over-phi-r2"): (
+        "dffa4f395522ef82b31d25a5848018f8c6a13702578eee89ef448ed458283c04",
+        "29d3ae75ad51911d5f1492b09eb64564da82bb6f4ed844ce3a2561db418b7f97"),
+}
+
+
+@pytest.mark.parametrize("fixture, mode", sorted(PINNED_ARTIFACTS))
+def test_run_fixture_artifacts_match_pinned_hashes(tmp_path, capsys, fixture, mode):
+    assert main(["run", "--fixture", fixture, "--darl-mode", mode, "--format", "json",
+                 "--out-dir", str(tmp_path)]) == 0
+    report = (tmp_path / f"{fixture}-report.json").read_bytes()
+    plot = (tmp_path / f"{fixture}-plot.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == report
+    digests = (hashlib.sha256(report).hexdigest(), hashlib.sha256(plot).hexdigest())
+    assert digests == PINNED_ARTIFACTS[(fixture, mode)]
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(darl.model, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(darl.model, name, wrapper)
+    return calls
+
+
+def test_run_draws_and_fits_each_seed_once(tmp_path, capsys, monkeypatch):
+    series_calls = counting(monkeypatch, "uniform_series")
+    fit_calls = counting(monkeypatch, "fit_ols")
+    assert main(["run", "--fixture", "experiment-b", "--format", "json",
+                 "--out-dir", str(tmp_path)]) == 0
+    seeds = json.loads(capsys.readouterr().out)["config"]["seeds"]
+    assert len(series_calls) == len(fit_calls) == len(seeds) == 5
+
+
+@pytest.mark.parametrize("override", [["--n-override", "600"], ["--seeds", "3,5"]])
+@pytest.mark.parametrize("fixture", ["experiment-a", "experiment-b"])
+def test_run_override_keeps_pristine_discrepancy_report(tmp_path, capsys, fixture, override):
+    # experiment-b publishes a seed-17 row, which a --seeds 3,5 run never fits
+    def discrepancy(*extra):
+        assert main(["run", "--fixture", fixture, "--format", "json",
+                     "--out-dir", str(tmp_path), *extra]) == 0
+        return json.loads(capsys.readouterr().out)["discrepancy_report"]
+
+    assert discrepancy(*override) == discrepancy()
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    ({"t_w_c": math.nan}, "t_w_c must be a finite number"),
+    ({"total_length_m": math.inf}, "total_length_m must be a finite number"),
+    ({"target_lengths_m": [2.5, -math.inf]}, "target_lengths_m must be a finite number"),
+    ({"t_in_c": "31"}, "t_in_c must be a number, got str"),
+    ({"seeds": ["3"]}, "seeds must be an integer, got str"),
+    ({"n_override": 2.5}, "n_override must be an integer, got float"),
+], ids=["nan", "infinity", "infinite-target", "string-temperature", "string-seed",
+        "fractional-n-override"])
+def test_run_config_bad_value_exit_2(tmp_path, capsys, overrides, reason):
+    config_path = write_raw_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 2
+    assert_one_error_line(capsys, reason)
+    assert not (tmp_path / "raw-report.json").exists()
+
+
+def test_run_duplicate_reference_length_exit_2(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    reference = tmp_path / "reference.csv"
+    reference.write_text("length_m,t_obs_c\n2.5,28.8\n3.4,27.37\n2.5,26.67\n")
+    rc = main(["run", "--config", str(config_path), "--reference", str(reference),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert_one_error_line(capsys, "row 3: duplicate length 2.5 m")
+
+
+@pytest.mark.parametrize("bounds", [["--min", "nan", "--max", "1"], ["--min", "0", "--max", "inf"]],
+                         ids=["nan-min", "inf-max"])
+def test_generate_non_finite_bounds_exit_2(tmp_path, capsys, bounds):
+    out = tmp_path / "never.csv"
+    assert main(["generate", "--seed", "3", "--n", "10", *bounds, "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "bounds must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, n", [
+    ({"total_length_m": 60.0, "target_lengths_m": (10.0, 30.0, 55.0)}, 6000),
+    ({"n_override": 2}, 2),
+], ids=["60m", "n-override-2"])
+def test_run_normality_not_applicable_outside_test_range(tmp_path, capsys, overrides, n):
+    config_path = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 0
+    assert "n/a" in capsys.readouterr().out
+    report = json.loads((tmp_path / "custom-report.json").read_bytes())
+    assert len(report["series"]) == 5
+    for row in report["series"]:
+        assert row["n"] == n
+        assert row["w_statistic"] is None and row["p_value"] is None
+        assert row["normality_rejected"] is None
+        assert row["q1"] <= row["median"] <= row["q3"]
+        assert row["iqr"] == pytest.approx(row["q3"] - row["q1"])
+    assert len(report["predictions"]) == 15

@@ -166,4 +166,6 @@ def test_load_reference_csv():
         load_reference_csv(b"length_m,t_obs_c\n2.5,\xfe28.8\n")
     with pytest.raises(ValidationError):
         load_reference_csv(b"length_m,t_obs_c\n")
+    with pytest.raises(ParseError, match="row 3: duplicate length 2.5"):
+        load_reference_csv(b"length_m,t_obs_c\n2.5,28.8\n3.4,27.37\n2.50,26.67\n")
 

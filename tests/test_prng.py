@@ -1,5 +1,6 @@
 """Generator conformance: goldens, unit mapping, bounded sorted series."""
 
+import math
 import random
 
 import numpy as np
@@ -182,6 +183,9 @@ def test_uniform_series_errors():
         uniform_series(5, 1, 0.0, 1.0)
     with pytest.raises(InvalidBounds):
         uniform_series(5, 10, 2.0, 1.0)
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)):
+        with pytest.raises(InvalidBounds, match="finite"):
+            uniform_series(5, 10, lo, hi)
     with pytest.raises(ValidationError):
         uniform_series(5, 10, 0.0, 1.0, "sideways")
 
