@@ -45,7 +45,7 @@ from .prng import (
     UniformSeries,
     uniform_series,
 )
-from .regression import LinearFit, SamplePoint, fit_ols, predict_at
+from .regression import LinearFit, fit_ols, predict_at
 from .stats import (
     NormalityResult,
     QuartileSummary,
@@ -68,7 +68,7 @@ __all__ = [
     "KNOWN_FERMAT_PRIMES", "SORT_ORDERS", "MersenneTwister", "UniformSeries",
     "uniform_series",
     # regression
-    "SamplePoint", "LinearFit", "fit_ols", "predict_at",
+    "LinearFit", "fit_ols", "predict_at",
     # stats
     "NormalityResult", "QuartileSummary", "shapiro_wilk", "rmse",
     "relative_error", "quartile_summary",

@@ -43,7 +43,7 @@ from .serialize import (
     render_series_csv,
     render_table,
 )
-from .stats import quartile_summary, rmse, shapiro_wilk
+from .stats import ALPHA, quartile_summary, rmse, shapiro_wilk
 
 _ORDER_FLAGS = {"asc": "ascending", "desc": "descending"}
 
@@ -191,32 +191,12 @@ def _build_report(
             {"seed": sf.seed, **_distribution_stats(sf.values, strict=False)}
             for sf in fits
         ],
-        "predictions": [
-            {
-                "seed": r.seed,
-                "target_length_m": r.target_length_m,
-                "t_phi_c": r.t_phi_c,
-                "r_squared": r.r_squared,
-                "t_sim_c": r.t_sim_c,
-                "out_of_range": r.out_of_range,
-            }
-            for r in records
-        ],
+        "predictions": [dict(vars(r)) for r in records],
     }
     comparisons = None
     if reference is not None:
         comparisons, rmse_by_seed = compare_with_reference(records, reference)
-        report["comparisons"] = [
-            {
-                "seed": c.seed,
-                "target_length_m": c.target_length_m,
-                "t_sim_c": c.t_sim_c,
-                "t_obs_c": c.t_obs_c,
-                "delta_t_c": c.delta_t_c,
-                "relative_error_pct": c.relative_error_pct,
-            }
-            for c in comparisons
-        ]
+        report["comparisons"] = [dict(vars(c)) for c in comparisons]
         report["rmse_by_seed"] = dict(sorted(rmse_by_seed.items()))
         report["best_seed"] = rank_seeds(comparisons)[0][1]
     if fixture is not None:
@@ -398,7 +378,7 @@ def cmd_validate(args) -> int:
         "tool": "darl",
         "version": __version__,
         "source": source,
-        "alpha": 0.05,
+        "alpha": ALPHA,
         "results": rows,
     }
     if args.format == "json":
@@ -415,7 +395,7 @@ def cmd_validate(args) -> int:
                 for r in rows
             ],
         )
-        sys.stdout.write(f"validate: {source}  alpha=0.05\n{table}")
+        sys.stdout.write(f"validate: {source}  alpha={ALPHA}\n{table}")
     return 0
 
 
@@ -462,27 +442,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--out-dir", default=".", help="directory for emitted files (created if missing)")
-    shared.add_argument("--format", choices=("json", "table", "csv"), default="table",
-                        help="stdout format (default: table)")
+    # Each subcommand takes only the flags that change its output.
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default=".", help="directory for emitted files (created if missing)")
 
-    overrides = argparse.ArgumentParser(add_help=False)
-    overrides.add_argument("--n-override", type=int, default=None,
-                           help="series length override (defaults to one value per centimetre)")
-    overrides.add_argument("--sort-order", choices=tuple(_ORDER_FLAGS), default=None,
-                           help="series sort direction override")
-    overrides.add_argument("--darl-mode", choices=tuple(sorted(DARL_MODES)), default=None,
-                           help="predictor reading override")
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("json", "table"), default="table",
+                         help="stdout format (default: table)")
 
-    source = argparse.ArgumentParser(add_help=False)
-    group = source.add_mutually_exclusive_group(required=True)
+    length = argparse.ArgumentParser(add_help=False)
+    length.add_argument("--n-override", type=int, default=None,
+                        help="series length override (defaults to one value per centimetre)")
+
+    experiment = argparse.ArgumentParser(add_help=False)
+    group = experiment.add_mutually_exclusive_group(required=True)
     group.add_argument("--fixture", help="built-in fixture name (see the fixtures command)")
     group.add_argument("--config", help="path to a config JSON document")
-    source.add_argument("--reference", default=None,
-                        help="CSV of observations (length_m,t_obs_c) for --config runs")
+    experiment.add_argument("--reference", default=None,
+                            help="CSV of observations (length_m,t_obs_c) for --config runs")
+    experiment.add_argument("--sort-order", choices=tuple(_ORDER_FLAGS), default=None,
+                            help="series sort direction override")
+    experiment.add_argument("--darl-mode", choices=tuple(sorted(DARL_MODES)), default=None,
+                            help="predictor reading override")
 
-    p = sub.add_parser("generate", parents=[shared],
+    p = sub.add_parser("generate", parents=[out_dir],
                        help="emit one sorted bounded series as a single-column CSV")
     p.add_argument("--seed", type=int, required=True, help="32-bit generator seed")
     p.add_argument("--n", type=int, required=True, help="number of values")
@@ -493,16 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default: derived name in --out-dir)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("run", parents=[shared, overrides, source],
+    p = sub.add_parser("run", parents=[out_dir, length, experiment],
                        help="run an experiment and write report JSON plus plot CSV")
+    p.add_argument("--format", choices=("json", "table", "csv"), default="table",
+                   help="stdout format; csv prints the plot CSV (default: table)")
     p.add_argument("--seeds", default=None, help="comma-separated subset of the config seeds")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", parents=[shared, overrides, source],
+    p = sub.add_parser("sweep", parents=[out_dir, formats, length, experiment],
                        help="rank every seed by mean relative error")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("validate", parents=[shared, overrides],
+    p = sub.add_parser("validate", parents=[formats, length],
                        help="normality and quartile report for a series or fixture")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fixture", help="built-in fixture name")
@@ -510,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--series", help="CSV series file with an Ordered_Value column")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("fixtures", parents=[shared], help="list built-in fixtures")
+    p = sub.add_parser("fixtures", parents=[formats], help="list built-in fixtures")
     p.set_defaults(func=cmd_fixtures)
     return parser
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -16,18 +16,18 @@ from .errors import (
     UnknownFixture,
     ValidationError,
 )
-from .model import ExperimentConfig
+from .model import TEMPERATURE_LIMIT_C, ExperimentConfig
 from .serialize import render_json
 
 FIXTURE_NAMES = ("experiment-a", "experiment-b")
 
-_CONFIG_REQUIRED = ("t_in_c", "t_end_c", "t_w_c", "total_length_m", "target_lengths_m")
+_CONFIG_REQUIRED = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
 #: JSON value type of every config key; for an array key, of each element.
 _CONFIG_TYPES = {
     "t_in_c": "a number", "t_end_c": "a number", "t_w_c": "a number",
-    "total_length_m": "a number", "target_lengths_m": "a number",
-    "t_w_uncertainty_c": "a number", "seeds": "an integer", "n_override": "an integer",
+    "t_w_uncertainty_c": "a number", "total_length_m": "a number",
+    "target_lengths_m": "a number", "seeds": "an integer", "n_override": "an integer",
     "sort_order": "a string", "darl_mode": "a string",
 }
 _JSON_TYPES = {"a number": (int, float), "an integer": int, "a string": str}
@@ -41,12 +41,15 @@ def _decode(data: bytes, what: str) -> str:
 
 
 def _finite(cell: str, idx: int) -> float:
+    """A finite CSV number within ±TEMPERATURE_LIMIT_C (lengths are far smaller)."""
     try:
         value = float(cell)
     except ValueError:
         raise ParseError(f"row {idx}: unparseable numeric value") from None
     if not math.isfinite(value):
         raise ParseError(f"row {idx}: non-finite value")
+    if abs(value) > TEMPERATURE_LIMIT_C:
+        raise ParseError(f"row {idx}: value {value:g} beyond ±{TEMPERATURE_LIMIT_C:g}")
     return value
 
 
@@ -80,13 +83,7 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
                 _check_type(key, item)
         elif not (key == "n_override" and value is None):
             _check_type(key, value)
-    kwargs = dict(doc)
-    kwargs["target_lengths_m"] = tuple(kwargs["target_lengths_m"])
-    if "seeds" in kwargs:
-        kwargs["seeds"] = tuple(kwargs["seeds"])
-    if kwargs.get("n_override", None) is None:
-        kwargs.pop("n_override", None)
-    config = ExperimentConfig(**kwargs)
+    config = ExperimentConfig(**doc)
     config.validate()
     return config
 
@@ -102,18 +99,7 @@ def load_config(data: bytes) -> ExperimentConfig:
 
 def config_to_mapping(config: ExperimentConfig) -> dict:
     """Flat schema-keyed mapping for serialization; inverse of load_config."""
-    return {
-        "t_in_c": config.t_in_c,
-        "t_end_c": config.t_end_c,
-        "t_w_c": config.t_w_c,
-        "t_w_uncertainty_c": config.t_w_uncertainty_c,
-        "total_length_m": config.total_length_m,
-        "target_lengths_m": list(config.target_lengths_m),
-        "seeds": list(config.seeds),
-        "n_override": config.n_override,
-        "sort_order": config.sort_order,
-        "darl_mode": config.darl_mode,
-    }
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(config).items()}
 
 
 def dump_config(config: ExperimentConfig) -> bytes:

@@ -28,13 +28,14 @@ import numpy as np
 
 from .errors import (
     DegenerateVariance,
+    DivisionByZero,
     InsufficientSamples,
     InvalidCoefficient,
     MissingReference,
     Singularity,
     ValidationError,
 )
-from .prng import KNOWN_FERMAT_PRIMES, SORT_ORDERS, UniformSeries, uniform_series
+from .prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, SORT_ORDERS, UniformSeries, uniform_series
 from .regression import LinearFit, fit_ols, predict_at
 from .stats import relative_error, rmse
 
@@ -42,6 +43,10 @@ log = logging.getLogger(__name__)
 
 AS_PRINTED = "as-printed"
 SPAN_OVER_PHI_R2 = "span-over-phi-r2"
+
+#: Largest temperature magnitude accepted, degrees C: far beyond any exchanger,
+#: and small enough that sums of squares over MAX_SAMPLE_COUNT values stay finite.
+TEMPERATURE_LIMIT_C = 1e6
 
 
 def _as_printed(t_max: float, t_min: float, t_w: float, t_phi: float, r_squared: float) -> float:
@@ -91,21 +96,22 @@ def darl_temperature(
     return t_sim, out_of_range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Boundary temperatures, geometry and run controls for one experiment.
 
     Field names carry their unit suffix and match the JSON config schema
-    one to one.
+    one to one; the field order is the order of the report's config echo,
+    and the fields without a default are the schema's required keys.
     """
 
     t_in_c: float                       # inlet air temperature (= t_max)
     t_end_c: float                      # terminal sensor temperature (= t_min)
     t_w_c: float                        # groundwater temperature
+    t_w_uncertainty_c: float = 0.0
     total_length_m: float
     target_lengths_m: tuple[float, ...]
     seeds: tuple[int, ...] = KNOWN_FERMAT_PRIMES
-    t_w_uncertainty_c: float = 0.0
     n_override: int | None = None
     sort_order: str = "descending"
     darl_mode: str = AS_PRINTED
@@ -116,6 +122,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Enforce the semantic invariants; raises ValidationError."""
+        for key in ("t_in_c", "t_end_c", "t_w_c"):
+            if not abs(getattr(self, key)) <= TEMPERATURE_LIMIT_C:
+                raise ValidationError(f"{key} must lie within ±{TEMPERATURE_LIMIT_C:g} degrees C")
         if not self.total_length_m > 0.0:
             raise ValidationError(f"total_length_m must be positive, got {self.total_length_m}")
         if not self.t_in_c > self.t_end_c:
@@ -141,16 +150,21 @@ class ExperimentConfig:
             raise ValidationError("t_w_uncertainty_c must be nonnegative")
         if self.n_override is not None and self.n_override < 2:
             raise ValidationError(f"n_override must be at least 2, got {self.n_override}")
+        self.sample_count()  # raises beyond MAX_SAMPLE_COUNT
         if self.sort_order not in SORT_ORDERS:
             raise ValidationError(f"sort_order must be one of {SORT_ORDERS}")
         if self.darl_mode not in DARL_MODES:
             raise ValidationError(f"darl_mode {self.darl_mode!r} is not registered")
 
     def sample_count(self) -> int:
-        """Series length: the override if given, else one value per centimetre."""
-        if self.n_override is not None:
-            return int(self.n_override)
-        return int(round(100.0 * self.total_length_m))
+        """Series length: the override if given, else one value per centimetre.
+
+        Bounded by MAX_SAMPLE_COUNT before int(), which overflows for 1e307 m.
+        """
+        n = self.n_override if self.n_override is not None else 100.0 * self.total_length_m
+        if not n <= MAX_SAMPLE_COUNT:
+            raise ValidationError(f"series length {n} exceeds the maximum of {MAX_SAMPLE_COUNT} samples")
+        return int(round(n))
 
 
 @dataclass(frozen=True)
@@ -275,4 +289,7 @@ def rank_seeds(comparisons: Iterable[ComparisonRecord]) -> list[tuple[float, int
         by_seed.setdefault(c.seed, []).append(c.relative_error_pct)
     if not by_seed:
         raise InsufficientSamples("no comparison records to rank")
-    return sorted((fmean(errs), seed) for seed, errs in by_seed.items())
+    try:
+        return sorted((fmean(errs), seed) for seed, errs in by_seed.items())
+    except OverflowError:
+        raise DivisionByZero("mean relative error overflows; an observed value is near zero") from None

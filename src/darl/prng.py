@@ -35,6 +35,9 @@ KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 SORT_ORDERS = ("ascending", "descending")
 
+#: Longest series drawn: one value per centimetre of a 10 km pipe.
+MAX_SAMPLE_COUNT = 1_000_000
+
 
 def _init_state(seed: int) -> list[int]:
     """Knuth recurrence: word[0]=seed, word[i]=1812433253*(w^(w>>30))+i mod 2^32."""
@@ -155,8 +158,11 @@ def uniform_series(
     """
     if n < 2:
         raise InsufficientSamples(f"series needs at least 2 values, got {n}")
-    if not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise InvalidBounds(f"bounds must be finite, got [{t_min}, {t_max}]")
+    if n > MAX_SAMPLE_COUNT:
+        raise ValidationError(f"series length {n} exceeds the maximum of {MAX_SAMPLE_COUNT} samples")
+    # NaN or infinite bounds, and finite bounds whose span overflows, give a non-finite span
+    if not math.isfinite(t_max - t_min):
+        raise InvalidBounds(f"bounds must be finite with a finite span, got [{t_min}, {t_max}]")
     if t_min > t_max:
         raise InvalidBounds(f"t_min {t_min} exceeds t_max {t_max}")
     if order not in SORT_ORDERS:

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples
-
-
-class SamplePoint(NamedTuple):
-    x: float  # position along the pipe, m
-    y: float  # temperature, degC
 
 
 @dataclass(frozen=True)

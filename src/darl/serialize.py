@@ -11,8 +11,6 @@ import json
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 FLOAT_DIGITS = 15
 
 
@@ -27,11 +25,11 @@ def format_float(value: float) -> str:
 def _scalar(obj) -> str | None:
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -49,18 +47,17 @@ def _render(obj, level: int) -> str:
             return "{}"
         parts = []
         for key, value in obj.items():
-            if not isinstance(key, (str, int, np.integer)):
+            if not isinstance(key, (str, int)):
                 raise TypeError(f"JSON keys must be str or int, got {type(key).__name__}")
             parts.append(f"{pad}{json.dumps(str(key))}: {_render(value, level + 1)}")
         return "{\n" + ",\n".join(parts) + f"\n{close}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
+    if isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
-        atoms = [_scalar(item) for item in items]
+        atoms = [_scalar(item) for item in obj]
         if all(a is not None for a in atoms):
             return "[" + ", ".join(atoms) + "]"
-        return "[\n" + ",\n".join(pad + _render(item, level + 1) for item in items) + f"\n{close}]"
+        return "[\n" + ",\n".join(pad + _render(item, level + 1) for item in obj) + f"\n{close}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

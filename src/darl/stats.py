@@ -38,6 +38,9 @@ _G = (-2.273, 0.459)                             # gamma bound, n <= 11
 _MIN_N = 3
 _MAX_N = 5000
 
+#: Significance level at which Shapiro-Wilk rejects normality.
+ALPHA = 0.05
+
 
 def _poly(coeffs: Sequence[float], x: float) -> float:
     acc = 0.0
@@ -51,12 +54,11 @@ class NormalityResult:
     w_statistic: float
     p_value: float
     n: int
-    alpha: float = 0.05
 
     @property
     def rejected(self) -> bool:
-        """True when normality is rejected at the stored significance level."""
-        return self.p_value < self.alpha
+        """True when normality is rejected at significance level ALPHA."""
+        return self.p_value < ALPHA
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def _sw_weights(n: int) -> np.ndarray:
     return a
 
 
-def shapiro_wilk(values: Sequence[float], alpha: float = 0.05) -> NormalityResult:
+def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
     """Shapiro-Wilk normality test for 3 <= n <= 5000 samples.
 
     W is the squared correlation between the sorted sample and the
@@ -128,13 +130,13 @@ def shapiro_wilk(values: Sequence[float], alpha: float = 0.05) -> NormalityResul
         stqr = math.asin(math.sqrt(0.75))
         p = pi6 * (math.asin(math.sqrt(w)) - stqr)
         p = min(1.0, max(0.0, p))
-        return NormalityResult(w_statistic=w, p_value=p, n=n, alpha=alpha)
+        return NormalityResult(w_statistic=w, p_value=p, n=n)
 
     y = math.log(w1)
     if n <= 11:
         gamma = _poly(_G, n)
         if y >= gamma:
-            return NormalityResult(w_statistic=w, p_value=0.0, n=n, alpha=alpha)
+            return NormalityResult(w_statistic=w, p_value=0.0, n=n)
         y = -math.log(gamma - y)
         mu = _poly(_C3, n)
         sigma = math.exp(_poly(_C4, n))
@@ -143,7 +145,7 @@ def shapiro_wilk(values: Sequence[float], alpha: float = 0.05) -> NormalityResul
         mu = _poly(_C5, log_n)
         sigma = math.exp(_poly(_C6, log_n))
     p = 1.0 - _NORMAL.cdf((y - mu) / sigma)
-    return NormalityResult(w_statistic=w, p_value=min(1.0, max(0.0, p)), n=n, alpha=alpha)
+    return NormalityResult(w_statistic=w, p_value=min(1.0, max(0.0, p)), n=n)
 
 
 def rmse(observed: Sequence[float], simulated: Sequence[float]) -> float:
@@ -165,7 +167,10 @@ def relative_error(observed: float, simulated: float) -> float:
     observed = float(observed)
     if observed == 0.0:
         raise DivisionByZero("relative error against a zero observed value")
-    return 100.0 * abs(observed - float(simulated)) / abs(observed)
+    error = 100.0 * abs(observed - float(simulated)) / abs(observed)
+    if not math.isfinite(error):
+        raise DivisionByZero(f"relative error against observed value {observed!r} overflows")
+    return error
 
 
 def _quantile_type7(sorted_values: Sequence[float], p: float) -> float:

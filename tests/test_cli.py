@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -12,7 +13,7 @@ import darl.model
 from darl.cli import main
 from darl.ingest import dump_config, load_config
 from darl.model import ExperimentConfig, run_configuration
-from darl.prng import MersenneTwister
+from darl.prng import MAX_SAMPLE_COUNT, MersenneTwister
 from darl.serialize import render_series_csv
 
 
@@ -128,6 +129,7 @@ def test_run_report_structure(tmp_path, capsys):
     assert report["tool"] == "darl"
     assert report["kind"] == "fixture"
     assert report["config"]["darl_mode"] == "as-printed"
+    assert list(report["config"]) == [f.name for f in fields(ExperimentConfig)]
     assert len(report["series"]) == 5
     assert all(row["normality_rejected"] for row in report["series"])
     assert len(report["predictions"]) == 15
@@ -207,6 +209,24 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["run"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "3", "--n", "10", "--min", "0", "--max", "1", "--format", "json"],
+    ["validate", "--fixture", "experiment-a", "--out-dir", "."],
+    ["fixtures", "--out-dir", "."],
+    ["validate", "--fixture", "experiment-a", "--sort-order", "asc"],
+    ["validate", "--fixture", "experiment-a", "--darl-mode", "as-printed"],
+    ["sweep", "--fixture", "experiment-a", "--format", "csv"],
+    ["validate", "--fixture", "experiment-a", "--format", "csv"],
+    ["fixtures", "--format", "csv"],
+], ids=["generate-format", "validate-out-dir", "fixtures-out-dir", "validate-sort-order",
+        "validate-darl-mode", "sweep-csv", "validate-csv", "fixtures-csv"])
+def test_flag_that_changes_no_output_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_fixture_ranking(tmp_path, capsys):
@@ -392,7 +412,8 @@ def assert_one_error_line(capsys, reason):
 BAD_CELLS = pytest.mark.parametrize("cell, reason", [
     (b"28.8\xff", "not valid UTF-8"),
     (b"nan", "non-finite"),
-], ids=["non-utf8", "nan"])
+    (b"1e200", "value 1e+200 beyond"),
+], ids=["non-utf8", "nan", "huge"])
 
 
 @BAD_CELLS
@@ -491,8 +512,11 @@ def test_run_override_keeps_pristine_discrepancy_report(tmp_path, capsys, fixtur
     ({"t_in_c": "31"}, "t_in_c must be a number, got str"),
     ({"seeds": ["3"]}, "seeds must be an integer, got str"),
     ({"n_override": 2.5}, "n_override must be an integer, got float"),
+    ({"t_in_c": 1e307}, "t_in_c must lie within"),
+    ({"total_length_m": 1e307}, "series length inf exceeds the maximum of 1000000 samples"),
+    ({"n_override": MAX_SAMPLE_COUNT + 1}, "series length 1000001 exceeds the maximum"),
 ], ids=["nan", "infinity", "infinite-target", "string-temperature", "string-seed",
-        "fractional-n-override"])
+        "fractional-n-override", "huge-temperature", "huge-length", "n-override-beyond-bound"])
 def test_run_config_bad_value_exit_2(tmp_path, capsys, overrides, reason):
     config_path = write_raw_config(tmp_path, **overrides)
     assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 2
@@ -510,8 +534,9 @@ def test_run_duplicate_reference_length_exit_2(tmp_path, capsys):
     assert_one_error_line(capsys, "row 3: duplicate length 2.5 m")
 
 
-@pytest.mark.parametrize("bounds", [["--min", "nan", "--max", "1"], ["--min", "0", "--max", "inf"]],
-                         ids=["nan-min", "inf-max"])
+@pytest.mark.parametrize("bounds", [["--min", "nan", "--max", "1"], ["--min", "0", "--max", "inf"],
+                                    ["--min=-1e308", "--max=1e308"]],
+                         ids=["nan-min", "inf-max", "overflowing-span"])
 def test_generate_non_finite_bounds_exit_2(tmp_path, capsys, bounds):
     out = tmp_path / "never.csv"
     assert main(["generate", "--seed", "3", "--n", "10", *bounds, "--out", str(out)]) == 2
@@ -536,3 +561,30 @@ def test_run_normality_not_applicable_outside_test_range(tmp_path, capsys, overr
         assert row["q1"] <= row["median"] <= row["q3"]
         assert row["iqr"] == pytest.approx(row["q3"] - row["q1"])
     assert len(report["predictions"]) == 15
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "3", "--n", str(MAX_SAMPLE_COUNT + 1), "--min", "0", "--max", "1"],
+    ["run", "--fixture", "experiment-a", "--n-override", str(MAX_SAMPLE_COUNT + 1)],
+    ["validate", "--fixture", "experiment-a", "--n-override", str(MAX_SAMPLE_COUNT + 1)],
+], ids=["generate-n", "run-n-override", "validate-n-override"])
+def test_series_length_beyond_bound_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert_one_error_line(capsys, "exceeds the maximum of 1000000 samples")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("rows", [
+    "2.5,1e-310\n3.4,27.37\n4.4,26.67\n",      # one relative error overflows
+    "2.5,5e-305\n3.4,5e-305\n4.4,26.67\n",     # finite errors whose mean overflows
+], ids=["relative-error", "mean-relative-error"])
+def test_run_reference_near_zero_exit_4(tmp_path, capsys, rows):
+    config_path = write_config(tmp_path)
+    reference = tmp_path / "reference.csv"
+    reference.write_text("length_m,t_obs_c\n" + rows)
+    rc = main(["run", "--config", str(config_path), "--reference", str(reference),
+               "--out-dir", str(tmp_path)])
+    assert rc == 4
+    assert_one_error_line(capsys, "overflows")
+    assert not (tmp_path / "custom-report.json").exists()

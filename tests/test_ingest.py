@@ -1,6 +1,7 @@
 """Config round-trips, built-in fixtures, series and reference CSV files."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -12,6 +13,8 @@ from darl.errors import (
     ValidationError,
 )
 from darl.ingest import (
+    _CONFIG_REQUIRED,
+    _CONFIG_TYPES,
     FIXTURE_NAMES,
     dump_config,
     load_config,
@@ -19,6 +22,7 @@ from darl.ingest import (
     load_reference_csv,
     load_series_csv,
 )
+from darl.model import ExperimentConfig
 from darl.stats import relative_error
 
 
@@ -86,6 +90,17 @@ def test_config_round_trip():
     ]
     for config in cases:
         assert load_config(dump_config(config)) == config
+
+
+def test_config_schema_declared_once():
+    # the dataclass is the schema: type table, required keys and dump order follow it
+    names = [f.name for f in fields(ExperimentConfig)]
+    assert list(_CONFIG_TYPES) == names
+    assert _CONFIG_REQUIRED == ("t_in_c", "t_end_c", "t_w_c", "total_length_m", "target_lengths_m")
+    config = load_config(config_doc(n_override=538))
+    dumped = dump_config(config)
+    assert list(json.loads(dumped)) == names
+    assert load_config(dumped) == config
 
 
 def test_round_trip_defaults_applied():

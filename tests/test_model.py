@@ -8,6 +8,7 @@ import pytest
 
 from darl.errors import (
     DegenerateVariance,
+    DivisionByZero,
     InsufficientSamples,
     InvalidCoefficient,
     MissingReference,
@@ -27,6 +28,7 @@ from darl.model import (
     rank_seeds,
     run_configuration,
 )
+from darl.prng import MAX_SAMPLE_COUNT
 from darl.regression import fit_ols
 
 
@@ -135,6 +137,10 @@ def test_config_validation_accepts_fixture_shapes():
     {"n_override": 1},
     {"sort_order": "sideways"},
     {"darl_mode": "telepathy"},
+    {"t_in_c": 1e307},                      # beyond TEMPERATURE_LIMIT_C
+    {"t_w_c": -2e6},
+    {"total_length_m": 1e307},              # 100 * L overflows before any int()
+    {"n_override": MAX_SAMPLE_COUNT + 1},
 ])
 def test_config_validation_rejections(overrides):
     with pytest.raises(ValidationError):
@@ -270,6 +276,8 @@ def test_select_best_seed_single_and_empty():
     assert rank_seeds([comparison(257, 9.0)]) == [(9.0, 257)]
     with pytest.raises(InsufficientSamples):
         rank_seeds([])
+    with pytest.raises(DivisionByZero, match="overflows"):
+        rank_seeds([comparison(3, 1e308), comparison(3, 1e308, length=3.4)])
 
 
 def test_degenerate_seed_skipped_with_diagnostic(monkeypatch, caplog):

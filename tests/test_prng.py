@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from darl.errors import InsufficientSamples, InvalidBounds, ValidationError
-from darl.prng import KNOWN_FERMAT_PRIMES, MersenneTwister, uniform_series
+from darl.prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, MersenneTwister, uniform_series
 
 from golden_data import (
     FIRST_UNIT_SEED_5,
@@ -183,9 +183,12 @@ def test_uniform_series_errors():
         uniform_series(5, 1, 0.0, 1.0)
     with pytest.raises(InvalidBounds):
         uniform_series(5, 10, 2.0, 1.0)
-    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)):
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+                   (-1e308, 1e308)):  # finite bounds whose span overflows to inf
         with pytest.raises(InvalidBounds, match="finite"):
             uniform_series(5, 10, lo, hi)
+    with pytest.raises(ValidationError, match="exceeds the maximum"):
+        uniform_series(5, MAX_SAMPLE_COUNT + 1, 0.0, 1.0)
     with pytest.raises(ValidationError):
         uniform_series(5, 10, 0.0, 1.0, "sideways")
 

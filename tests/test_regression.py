@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from darl.errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples
-from darl.regression import LinearFit, SamplePoint, fit_ols, predict_at
+from darl.regression import LinearFit, fit_ols, predict_at
 
 
 def ols_fraction_oracle(points):
@@ -64,11 +64,12 @@ def test_degenerate_inputs():
         fit_ols([])
 
 
-def test_sample_point_named_tuple():
-    points = [SamplePoint(0.0, 1.0), SamplePoint(1.0, 2.0), SamplePoint(2.0, 2.0)]
-    assert points[0].x == 0.0 and points[0].y == 1.0
-    fit = fit_ols(points)
-    assert abs(fit.beta - 0.5) < 1e-12
+def test_fit_ols_accepts_tuple_pairs():
+    # a list of (x, y) tuples, and the zip of two columns that fit_seeds passes
+    listed = fit_ols([(0.0, 1.0), (1.0, 2.0), (2.0, 2.0)])
+    zipped = fit_ols(zip([0.0, 1.0, 2.0], [1.0, 2.0, 2.0]))
+    assert listed == zipped
+    assert abs(listed.beta - 0.5) < 1e-12
 
 
 def test_predict_at_examples():

@@ -132,6 +132,8 @@ def test_relative_error_examples():
 def test_relative_error_zero_observed():
     with pytest.raises(DivisionByZero):
         relative_error(0.0, 1.0)
+    with pytest.raises(DivisionByZero, match="overflows"):
+        relative_error(1e-310, 30.0)
 
 
 def test_quartile_examples():
