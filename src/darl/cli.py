@@ -78,6 +78,7 @@ def _resolve_inputs(args) -> tuple[str, ExperimentConfig, list[tuple[float, floa
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+    """The config with the command-line overrides; replace() checks them."""
     changes = {}
     if getattr(args, "n_override", None) is not None:
         changes["n_override"] = args.n_override
@@ -87,10 +88,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         changes["darl_mode"] = args.darl_mode
     if getattr(args, "seeds", None):
         changes["seeds"] = _parse_seeds(args.seeds)
-    if changes:
-        config = replace(config, **changes)
-    config.validate()
-    return config
+    return replace(config, **changes) if changes else config
 
 
 def _distribution_stats(values, strict: bool = True) -> dict:
@@ -403,16 +401,10 @@ def cmd_fixtures(args) -> int:
     entries = []
     for name in FIXTURE_NAMES:
         fixture = load_fixture(name)
-        cfg = fixture.config
         entries.append({
             "name": name,
-            "t_in_c": cfg.t_in_c,
-            "t_end_c": cfg.t_end_c,
-            "t_w_c": cfg.t_w_c,
-            "total_length_m": cfg.total_length_m,
-            "target_lengths_m": list(cfg.target_lengths_m),
-            "seeds": list(cfg.seeds),
-            "sample_count": cfg.sample_count(),
+            **config_to_mapping(fixture.config),
+            "sample_count": fixture.config.sample_count(),
             "reference_points": len(fixture.reference),
             "reported_rmse_c": fixture.reported_rmse_c,
         })
@@ -500,8 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: in-process callers run main many times, and the tree holds ten parsers.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except NumericalDegeneracy as exc:

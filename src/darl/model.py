@@ -20,7 +20,8 @@ the temperature span by t_phi * r_squared instead.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
 
@@ -32,10 +33,12 @@ from .errors import (
     InsufficientSamples,
     InvalidCoefficient,
     MissingReference,
+    SchemaError,
     Singularity,
     ValidationError,
 )
-from .prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, SORT_ORDERS, UniformSeries, uniform_series
+from .prng import (KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, SORT_ORDERS, TEMPERATURE_LIMIT_C,
+                   UniformSeries, uniform_series)
 from .regression import LinearFit, fit_ols, predict_at
 from .stats import relative_error, rmse
 
@@ -43,10 +46,6 @@ log = logging.getLogger(__name__)
 
 AS_PRINTED = "as-printed"
 SPAN_OVER_PHI_R2 = "span-over-phi-r2"
-
-#: Largest temperature magnitude accepted, degrees C: far beyond any exchanger,
-#: and small enough that sums of squares over MAX_SAMPLE_COUNT values stay finite.
-TEMPERATURE_LIMIT_C = 1e6
 
 
 def _as_printed(t_max: float, t_min: float, t_w: float, t_phi: float, r_squared: float) -> float:
@@ -96,13 +95,43 @@ def darl_temperature(
     return t_sim, out_of_range
 
 
+#: JSON reading of a config field annotation: the type's name and the Python types it admits.
+_JSON_KINDS = {"float": ("a number", (int, float)), "int": ("an integer", int), "str": ("a string", str)}
+
+
+def _json_value(key: str, value, annotation: str):
+    """``value`` checked against the JSON type its field annotation names.
+
+    ``float`` is a finite number, ``int`` an integer and ``str`` a string;
+    ``bool`` is none of them. ``tuple[T, ...]`` is an array of T, stored as a
+    tuple with its numbers as floats, and ``T | None`` also admits null.
+    Raises SchemaError.
+    """
+    if annotation.endswith(" | None"):
+        return None if value is None else _json_value(key, value, annotation[:-len(" | None")])
+    if annotation.startswith("tuple["):
+        if not isinstance(value, (list, tuple)):
+            raise SchemaError(f"config key {key} must be an array, got {type(value).__name__}")
+        item = annotation[len("tuple["):-len(", ...]")]
+        items = [_json_value(key, v, item) for v in value]
+        return tuple(map(float, items)) if item == "float" else tuple(items)
+    kind, types = _JSON_KINDS[annotation]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SchemaError(f"config key {key} must be {kind}, got {type(value).__name__}")
+    # NaN, infinities and integers beyond the float range fail the comparison
+    if annotation == "float" and not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"config key {key} must be a finite number")
+    return value
+
+
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Boundary temperatures, geometry and run controls for one experiment.
 
     Field names carry their unit suffix and match the JSON config schema
     one to one; the field order is the order of the report's config echo,
-    and the fields without a default are the schema's required keys.
+    the fields without a default are the schema's required keys, and each
+    annotation gives the key's JSON type. A config that exists is valid.
     """
 
     t_in_c: float                       # inlet air temperature (= t_max)
@@ -117,11 +146,9 @@ class ExperimentConfig:
     darl_mode: str = AS_PRINTED
 
     def __post_init__(self):
-        object.__setattr__(self, "target_lengths_m", tuple(float(v) for v in self.target_lengths_m))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-
-    def validate(self) -> None:
-        """Enforce the semantic invariants; raises ValidationError."""
+        """Each field against its annotation (SchemaError), then the invariants (ValidationError)."""
+        for f in fields(self):
+            object.__setattr__(self, f.name, _json_value(f.name, getattr(self, f.name), f.type))
         for key in ("t_in_c", "t_end_c", "t_w_c"):
             if not abs(getattr(self, key)) <= TEMPERATURE_LIMIT_C:
                 raise ValidationError(f"{key} must lie within ±{TEMPERATURE_LIMIT_C:g} degrees C")
@@ -210,7 +237,6 @@ class SeedFit:
 
 def fit_seeds(config: ExperimentConfig) -> list[SeedFit]:
     """One series and one fit per seed, in seed order; a degenerate fit is logged."""
-    config.validate()
     out: list[SeedFit] = []
     for seed in sorted(config.seeds):
         grid, series = build_series(config, seed)

@@ -16,7 +16,6 @@ runs the reference init-by-array recurrence over the key as given.
 
 from __future__ import annotations
 
-import math
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -37,6 +36,10 @@ SORT_ORDERS = ("ascending", "descending")
 
 #: Longest series drawn: one value per centimetre of a 10 km pipe.
 MAX_SAMPLE_COUNT = 1_000_000
+
+#: Largest temperature magnitude accepted, degrees C: far beyond any exchanger,
+#: and small enough that sums of squares over MAX_SAMPLE_COUNT values stay finite.
+TEMPERATURE_LIMIT_C = 1e6
 
 
 def _init_state(seed: int) -> list[int]:
@@ -82,11 +85,6 @@ def _seeded_state(seed: int) -> array:
     return array("I", _init_state(seed))
 
 
-@lru_cache(maxsize=32)
-def _key_seeded_state(key: tuple[int, ...]) -> array:
-    return array("I", _init_state_by_key(key))
-
-
 class MersenneTwister(random.Random):
     """:class:`random.Random` seeded by the reference MT19937 recurrences.
 
@@ -100,7 +98,7 @@ class MersenneTwister(random.Random):
             raise ValidationError(f"seed must be an unsigned 32-bit integer, got {seed}")
         self._load(_seeded_state(seed))
 
-    def _load(self, words: array) -> None:
+    def _load(self, words: Sequence[int]) -> None:
         self.setstate((3, (*words, _N), None))
 
     @classmethod
@@ -108,9 +106,8 @@ class MersenneTwister(random.Random):
         """Array-seeded generator, matching the reference init-by-array scheme."""
         if not key:
             raise ValidationError("seeding key must be nonempty")
-        key = tuple(int(k) & _WORD_MASK for k in key)
         gen = cls.__new__(cls)
-        gen._load(_key_seeded_state(key))
+        gen._load(_init_state_by_key([int(k) & _WORD_MASK for k in key]))
         return gen
 
     def draw_words(self, count: int) -> np.ndarray:
@@ -160,9 +157,9 @@ def uniform_series(
         raise InsufficientSamples(f"series needs at least 2 values, got {n}")
     if n > MAX_SAMPLE_COUNT:
         raise ValidationError(f"series length {n} exceeds the maximum of {MAX_SAMPLE_COUNT} samples")
-    # NaN or infinite bounds, and finite bounds whose span overflows, give a non-finite span
-    if not math.isfinite(t_max - t_min):
-        raise InvalidBounds(f"bounds must be finite with a finite span, got [{t_min}, {t_max}]")
+    # NaN fails the comparison too, so non-finite bounds are refused here
+    if not (abs(t_min) <= TEMPERATURE_LIMIT_C and abs(t_max) <= TEMPERATURE_LIMIT_C):
+        raise InvalidBounds(f"bounds must be finite and within ±{TEMPERATURE_LIMIT_C:g}, got [{t_min}, {t_max}]")
     if t_min > t_max:
         raise InvalidBounds(f"t_min {t_min} exceeds t_max {t_max}")
     if order not in SORT_ORDERS:

@@ -11,7 +11,7 @@ import pytest
 
 import darl.model
 from darl.cli import main
-from darl.ingest import dump_config, load_config
+from darl.ingest import config_to_mapping, dump_config, load_config, load_fixture
 from darl.model import ExperimentConfig, run_configuration
 from darl.prng import MAX_SAMPLE_COUNT, MersenneTwister
 from darl.serialize import render_series_csv
@@ -355,6 +355,10 @@ def test_fixtures_listing(capsys):
     assert names == ["experiment-a", "experiment-b"]
     assert doc["fixtures"][0]["sample_count"] == 540
     assert doc["fixtures"][1]["sample_count"] == 830
+    for entry in doc["fixtures"]:
+        echo = config_to_mapping(load_fixture(entry["name"]).config)
+        assert list(entry) == ["name", *echo, "sample_count", "reference_points", "reported_rmse_c"]
+        assert {key: entry[key] for key in echo} == echo
 
 
 def test_config_dump_load_through_cli_artifacts(tmp_path, capsys):
@@ -541,6 +545,15 @@ def test_generate_non_finite_bounds_exit_2(tmp_path, capsys, bounds):
     out = tmp_path / "never.csv"
     assert main(["generate", "--seed", "3", "--n", "10", *bounds, "--out", str(out)]) == 2
     assert_one_error_line(capsys, "bounds must be finite")
+    assert not out.exists()
+
+
+def test_generate_bounds_beyond_temperature_limit_exit_2(tmp_path, capsys):
+    # validate --series refuses such values, so generate must not write them
+    out = tmp_path / "never.csv"
+    assert main(["generate", "--seed", "3", "--n", "5", "--min=-2e6", "--max", "0",
+                 "--out", str(out)]) == 2
+    assert_one_error_line(capsys, "within ±1e+06")
     assert not out.exists()
 
 

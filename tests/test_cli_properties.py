@@ -1,8 +1,8 @@
-"""Property: any config document and reference bytes give exit 0, 2, 3 or 4.
+"""Property: any config document, reference or series bytes give exit 0, 2, 3 or 4.
 
-``darl run`` either writes its artifacts and exits 0, or prints an
-``error:`` line and exits 2, 3 or 4; an unexpected exception escaping
-``main`` fails the property. Each document starts from a valid config and
+``darl run``, ``sweep`` and ``validate --series`` either succeed and exit 0,
+or print an ``error:`` line and exit 2, 3 or 4; an unexpected exception
+escaping ``main`` fails the property. Each document starts from a valid config and
 replaces a few keys with values of the key's JSON type, including extremes:
 lengths such as 1e307 m, ``n_override`` beyond the sample bound, finite
 temperatures whose span overflows. It may also drop a key, or set one to a
@@ -14,13 +14,14 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darl.cli import main
-from darl.ingest import _CONFIG_TYPES
+from darl.model import ExperimentConfig
 from darl.prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT
 
 BASE = {
@@ -50,7 +51,7 @@ VALUES = {
     "sort_order": st.sampled_from(("ascending", "descending", "sideways")),
     "darl_mode": st.sampled_from(("as-printed", "span-over-phi-r2", "printed")),
 }
-assert set(VALUES) == set(_CONFIG_TYPES)
+assert list(VALUES) == [f.name for f in fields(ExperimentConfig)]
 
 REPLACEMENTS = {key: values.map(lambda v, key=key: {key: v}) for key, values in VALUES.items()}
 REPLACEMENTS["overflowing span"] = st.sampled_from((
@@ -73,23 +74,50 @@ def config_docs(draw):
 reference_rows = st.lists(st.one_of(st.floats(20.0, 30.0), numbers), min_size=3, max_size=3).map(
     lambda t_obs: ("length_m,t_obs_c\n" + "".join(
         f"{x!r},{t!r}\n" for x, t in zip((2.5, 3.4, 4.4), t_obs))).encode())
-references = st.one_of(st.none(), reference_rows, st.binary(max_size=40))
+references = st.one_of(reference_rows, st.binary(max_size=40))
+series_files = st.one_of(
+    st.lists(st.one_of(st.floats(20.0, 30.0), numbers), max_size=8).map(
+        lambda values: ("Ordered_Value\n" + "".join(f"{v!r}\n" for v in values)).encode()),
+    st.binary(max_size=40))
+
+
+def assert_exit_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4)
+    if rc != 0:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
+
+
+def write_inputs(tmp, doc, reference):
+    """Config and reference files in ``tmp``; the ``--config``/``--reference`` argv."""
+    (tmp / "config.json").write_text(json.dumps(doc))
+    argv = ["--config", str(tmp / "config.json"), "--out-dir", str(tmp / "out"), "--format", "json"]
+    if reference is not None:
+        (tmp / "reference.csv").write_bytes(reference)
+        argv += ["--reference", str(tmp / "reference.csv")]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=config_docs(), reference=st.one_of(st.none(), references))
+def test_run_any_config_exits_0_2_3_or_4(doc, reference):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_exit_contract(["run", *write_inputs(Path(tmp), doc, reference)])
 
 
 @settings(max_examples=100, deadline=None)
 @given(doc=config_docs(), reference=references)
-def test_run_any_config_exits_0_2_3_or_4(doc, reference):
+def test_sweep_any_config_exits_0_2_3_or_4(doc, reference):
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        config = tmp / "config.json"
-        config.write_text(json.dumps(doc))
-        argv = ["run", "--config", str(config), "--out-dir", str(tmp / "out"), "--format", "json"]
-        if reference is not None:
-            (tmp / "reference.csv").write_bytes(reference)
-            argv += ["--reference", str(tmp / "reference.csv")]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(argv)
-    assert rc in (0, 2, 3, 4)
-    if rc != 0:
-        assert err.getvalue().splitlines()[-1].startswith("error: ")
+        assert_exit_contract(["sweep", *write_inputs(Path(tmp), doc, reference)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=series_files)
+def test_validate_any_series_exits_0_2_3_or_4(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        series = Path(tmp) / "series.csv"
+        series.write_bytes(data)
+        assert_exit_contract(["validate", "--series", str(series), "--format", "json"])

@@ -1,6 +1,7 @@
 """Predictor arithmetic, experiment configs, runs and seed selection."""
 
 import logging
+import math
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from darl.errors import (
     InsufficientSamples,
     InvalidCoefficient,
     MissingReference,
+    SchemaError,
     Singularity,
     ValidationError,
 )
@@ -28,7 +30,7 @@ from darl.model import (
     rank_seeds,
     run_configuration,
 )
-from darl.prng import MAX_SAMPLE_COUNT
+from darl.prng import MAX_SAMPLE_COUNT, uniform_series
 from darl.regression import fit_ols
 
 
@@ -118,8 +120,8 @@ def test_mode_registry_contents():
 
 
 def test_config_validation_accepts_fixture_shapes():
-    config_a().validate()
-    config_b().validate()
+    config_a()
+    config_b()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -144,7 +146,21 @@ def test_config_validation_accepts_fixture_shapes():
 ])
 def test_config_validation_rejections(overrides):
     with pytest.raises(ValidationError):
-        config_a(**overrides).validate()
+        config_a(**overrides)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"seeds": ("3",)}, "seeds must be an integer, got str"),
+    ({"seeds": (5.9,)}, "seeds must be an integer, got float"),
+    ({"seeds": "3"}, "seeds must be an array, got str"),
+    ({"target_lengths_m": (True,)}, "target_lengths_m must be a number, got bool"),
+    ({"t_in_c": "31"}, "t_in_c must be a number, got str"),
+    ({"t_w_c": math.nan}, "t_w_c must be a finite number"),
+    ({"n_override": 2.5}, "n_override must be an integer, got float"),
+])
+def test_config_type_rejections(overrides, message):
+    with pytest.raises(SchemaError, match=message):
+        config_a(**overrides)
 
 
 def test_sample_count_rule():
@@ -166,8 +182,8 @@ def test_build_series_grid_and_pairing():
 
 
 def test_flat_series_degenerates_downstream():
-    config = config_a(t_end_c=25.0, t_in_c=25.0)
-    grid, series = build_series(config, 5)
+    grid, _ = build_series(config_a(), 5)
+    series = uniform_series(5, 540, 25.0, 25.0)
     assert np.all(series.values == 25.0)
     with pytest.raises(DegenerateVariance):
         fit_ols(zip(grid.tolist(), series.values.tolist()))

@@ -184,7 +184,8 @@ def test_uniform_series_errors():
     with pytest.raises(InvalidBounds):
         uniform_series(5, 10, 2.0, 1.0)
     for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
-                   (-1e308, 1e308)):  # finite bounds whose span overflows to inf
+                   (-1e308, 1e308),  # finite bounds whose span overflows to inf
+                   (-2e6, 0.0), (0.0, 1e6 + 1)):  # beyond TEMPERATURE_LIMIT_C
         with pytest.raises(InvalidBounds, match="finite"):
             uniform_series(5, 10, lo, hi)
     with pytest.raises(ValidationError, match="exceeds the maximum"):
