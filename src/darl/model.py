@@ -44,6 +44,9 @@ from .stats import relative_error, rmse
 
 log = logging.getLogger(__name__)
 
+#: Longest pipe accepted, metres: MAX_SAMPLE_COUNT at one sample per centimetre.
+MAX_TOTAL_LENGTH_M = MAX_SAMPLE_COUNT / 100.0
+
 AS_PRINTED = "as-printed"
 SPAN_OVER_PHI_R2 = "span-over-phi-r2"
 
@@ -178,6 +181,9 @@ class ExperimentConfig:
         if self.n_override is not None and self.n_override < 2:
             raise ValidationError(f"n_override must be at least 2, got {self.n_override}")
         self.sample_count()  # raises beyond MAX_SAMPLE_COUNT
+        if self.total_length_m > MAX_TOTAL_LENGTH_M:  # an n_override bounds n, not the grid
+            raise ValidationError(
+                f"total_length_m {self.total_length_m} exceeds the maximum of {MAX_TOTAL_LENGTH_M:g} m")
         if self.sort_order not in SORT_ORDERS:
             raise ValidationError(f"sort_order must be one of {SORT_ORDERS}")
         if self.darl_mode not in DARL_MODES:
@@ -241,7 +247,7 @@ def fit_seeds(config: ExperimentConfig) -> list[SeedFit]:
     for seed in sorted(config.seeds):
         grid, series = build_series(config, seed)
         try:
-            fit = fit_ols(zip(grid.tolist(), series.values.tolist()))
+            fit = fit_ols(np.column_stack((grid, series.values)))
         except DegenerateVariance as exc:
             log.warning("seed %d skipped: %s", seed, exc)
             fit = None

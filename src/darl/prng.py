@@ -75,7 +75,7 @@ def _init_state_by_key(key: Sequence[int]) -> list[int]:
     return mt
 
 
-# Seeding is a pure function of the seed, and experiment runs construct
+# Seeding is a pure function of the seed (or key), and experiment runs construct
 # generators for the same handful of seeds over and over; memoise the seeded
 # state. A packed word array keeps each entry at 2.5 KiB, a tenth of a tuple
 # of Python ints.
@@ -83,6 +83,11 @@ def _init_state_by_key(key: Sequence[int]) -> list[int]:
 @lru_cache(maxsize=128)
 def _seeded_state(seed: int) -> array:
     return array("I", _init_state(seed))
+
+
+@lru_cache(maxsize=32)
+def _key_seeded_state(key: tuple[int, ...]) -> array:
+    return array("I", _init_state_by_key(key))
 
 
 class MersenneTwister(random.Random):
@@ -107,7 +112,7 @@ class MersenneTwister(random.Random):
         if not key:
             raise ValidationError("seeding key must be nonempty")
         gen = cls.__new__(cls)
-        gen._load(_init_state_by_key([int(k) & _WORD_MASK for k in key]))
+        gen._load(_key_seeded_state(tuple(int(k) & _WORD_MASK for k in key)))
         return gen
 
     def draw_words(self, count: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Sequence
 
@@ -69,8 +70,9 @@ class QuartileSummary:
     iqr: float
 
 
+@lru_cache(maxsize=8)
 def _sw_weights(n: int) -> np.ndarray:
-    """Lower-half Shapiro-Wilk weights for sample size n (n >= 4)."""
+    """Lower-half Shapiro-Wilk weights for sample size n (n >= 4); read-only, cached per n."""
     half = n // 2
     m = np.array([_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, half + 1)])
     summ2 = 2.0 * float(np.sum(m * m))
@@ -88,6 +90,7 @@ def _sw_weights(n: int) -> np.ndarray:
         fac = math.sqrt((summ2 - 2.0 * m[0] ** 2) / (1.0 - 2.0 * a1 ** 2))
         a = m / -fac
         a[0] = a1
+    a.setflags(write=False)
     return a
 
 
@@ -185,7 +188,7 @@ def _quantile_type7(sorted_values: Sequence[float], p: float) -> float:
 
 def quartile_summary(values: Sequence[float]) -> QuartileSummary:
     """Quartiles by linear interpolation (the common "type 7" convention)."""
-    data = sorted(float(v) for v in values)
+    data = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
     if not data:
         raise InsufficientSamples("quartiles of an empty sample are undefined")
     q1 = _quantile_type7(data, 0.25)

@@ -519,13 +519,23 @@ def test_run_override_keeps_pristine_discrepancy_report(tmp_path, capsys, fixtur
     ({"t_in_c": 1e307}, "t_in_c must lie within"),
     ({"total_length_m": 1e307}, "series length inf exceeds the maximum of 1000000 samples"),
     ({"n_override": MAX_SAMPLE_COUNT + 1}, "series length 1000001 exceeds the maximum"),
+    ({"total_length_m": 1e307, "n_override": 600}, "total_length_m 1e+307 exceeds the maximum of 10000 m"),
 ], ids=["nan", "infinity", "infinite-target", "string-temperature", "string-seed",
-        "fractional-n-override", "huge-temperature", "huge-length", "n-override-beyond-bound"])
+        "fractional-n-override", "huge-temperature", "huge-length", "n-override-beyond-bound",
+        "huge-length-with-n-override"])
 def test_run_config_bad_value_exit_2(tmp_path, capsys, overrides, reason):
     config_path = write_raw_config(tmp_path, **overrides)
     assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 2
     assert_one_error_line(capsys, reason)
     assert not (tmp_path / "raw-report.json").exists()
+
+
+def test_run_underflowing_length_spread_exit_4(tmp_path, capsys):
+    # every grid step squares to zero, so the fit has no abscissa spread
+    config_path = write_raw_config(tmp_path, total_length_m=1e-310, target_lengths_m=[5e-311],
+                                   n_override=600)
+    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 4
+    assert_one_error_line(capsys, "the spread of x underflows to zero")
 
 
 def test_run_duplicate_reference_length_exit_2(tmp_path, capsys):

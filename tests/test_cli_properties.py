@@ -2,12 +2,14 @@
 
 ``darl run``, ``sweep`` and ``validate --series`` either succeed and exit 0,
 or print an ``error:`` line and exit 2, 3 or 4; an unexpected exception
-escaping ``main`` fails the property. Each document starts from a valid config and
-replaces a few keys with values of the key's JSON type, including extremes:
-lengths such as 1e307 m, ``n_override`` beyond the sample bound, finite
-temperatures whose span overflows. It may also drop a key, or set one to a
-value of any JSON type, or add an unknown key. Valid lengths stay short so
-that each example runs in milliseconds.
+escaping ``main`` fails the property, and so does a numpy RuntimeWarning (an
+overflow or an invalid operation on some path). Each document starts from a
+valid config and replaces a few keys with values of the key's JSON type,
+including extremes: lengths such as 1e307 m, ``n_override`` beyond the sample
+bound, finite temperatures whose span overflows, pipes too long or too short
+for an ``n_override`` grid. It may also drop a key, or set one to a value of
+any JSON type, or add an unknown key. Valid lengths stay short so that each
+example runs in milliseconds.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +59,9 @@ assert list(VALUES) == [f.name for f in fields(ExperimentConfig)]
 REPLACEMENTS = {key: values.map(lambda v, key=key: {key: v}) for key, values in VALUES.items()}
 REPLACEMENTS["overflowing span"] = st.sampled_from((
     {"t_in_c": 1e308, "t_end_c": -1e308}, {"t_in_c": 1.7976931348623157e308, "t_end_c": -1e300}))
+REPLACEMENTS["length against n_override"] = st.sampled_from((
+    {"total_length_m": 1e307, "n_override": 600}, {"total_length_m": 1e200, "n_override": 2},
+    {"total_length_m": 1e-310, "n_override": 600, "target_lengths_m": []}))
 replacement = st.sampled_from(sorted(REPLACEMENTS)).flatmap(REPLACEMENTS.__getitem__)
 
 
@@ -100,6 +106,7 @@ def write_inputs(tmp, doc, reference):
     return argv
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(doc=config_docs(), reference=st.one_of(st.none(), references))
 def test_run_any_config_exits_0_2_3_or_4(doc, reference):
@@ -107,6 +114,7 @@ def test_run_any_config_exits_0_2_3_or_4(doc, reference):
         assert_exit_contract(["run", *write_inputs(Path(tmp), doc, reference)])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(doc=config_docs(), reference=references)
 def test_sweep_any_config_exits_0_2_3_or_4(doc, reference):
@@ -114,6 +122,7 @@ def test_sweep_any_config_exits_0_2_3_or_4(doc, reference):
         assert_exit_contract(["sweep", *write_inputs(Path(tmp), doc, reference)])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(data=series_files)
 def test_validate_any_series_exits_0_2_3_or_4(data):

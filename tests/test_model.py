@@ -143,6 +143,8 @@ def test_config_validation_accepts_fixture_shapes():
     {"t_w_c": -2e6},
     {"total_length_m": 1e307},              # 100 * L overflows before any int()
     {"n_override": MAX_SAMPLE_COUNT + 1},
+    {"total_length_m": 1e307, "n_override": 600},  # the grid would overflow
+    {"total_length_m": 10_000.5, "n_override": 2},
 ])
 def test_config_validation_rejections(overrides):
     with pytest.raises(ValidationError):

@@ -1,11 +1,15 @@
 """Least-squares fit against an exact rational-arithmetic oracle."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from darl.errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples
+from darl.errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples, ShapeMismatch
+from darl.ingest import load_fixture
+from darl.model import build_series, fit_seeds
 from darl.regression import LinearFit, fit_ols, predict_at
 
 
@@ -65,11 +69,49 @@ def test_degenerate_inputs():
 
 
 def test_fit_ols_accepts_tuple_pairs():
-    # a list of (x, y) tuples, and the zip of two columns that fit_seeds passes
+    # a list of (x, y) tuples, the zip of two columns, and the (n, 2) array fit_seeds passes
     listed = fit_ols([(0.0, 1.0), (1.0, 2.0), (2.0, 2.0)])
     zipped = fit_ols(zip([0.0, 1.0, 2.0], [1.0, 2.0, 2.0]))
-    assert listed == zipped
+    stacked = fit_ols(np.column_stack(([0.0, 1.0, 2.0], [1.0, 2.0, 2.0])))
+    assert listed == zipped == stacked
     assert abs(listed.beta - 0.5) < 1e-12
+
+
+def centered_fsum_reference(xs, ys):
+    """The fit in pure Python: centered two-pass sums, each by math.fsum."""
+    n = len(xs)
+    x_bar = math.fsum(xs) / n
+    y_bar = math.fsum(ys) / n
+    s_xx = math.fsum((x - x_bar) * (x - x_bar) for x in xs)
+    s_xy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    s_st = math.fsum((y - y_bar) * (y - y_bar) for y in ys)
+    beta = s_xy / s_xx
+    alpha = y_bar - beta * x_bar
+    sse = math.fsum((y - alpha - beta * x) * (y - alpha - beta * x) for x, y in zip(xs, ys))
+    return LinearFit(alpha=alpha, beta=beta, r_squared=min(1.0, max(0.0, 1.0 - sse / s_st)), n=n)
+
+
+@pytest.mark.parametrize("fixture", ["experiment-a", "experiment-b"])
+def test_fixture_fits_equal_pure_python_reference_bit_for_bit(fixture):
+    config = load_fixture(fixture).config
+    fits = fit_seeds(config)
+    assert len(fits) == 5
+    for seed_fit in fits:
+        grid, series = build_series(config, seed_fit.seed)
+        assert seed_fit.fit == centered_fsum_reference(grid.tolist(), series.values.tolist())
+
+
+@pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros(6), np.zeros((2, 2, 2)),
+                                    np.array(1.0), [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]],
+                         ids=["three-columns", "flat", "three-dimensional", "scalar", "triples"])
+def test_fit_ols_rejects_points_not_n_by_2(points):
+    with pytest.raises(ShapeMismatch):
+        fit_ols(points)
+
+
+def test_abscissa_spread_underflow_is_degenerate():
+    with pytest.raises(DegenerateAbscissa, match="underflows"):
+        fit_ols([(0.0, 1.0), (1e-310, 2.0), (2e-310, 2.0)])
 
 
 def test_predict_at_examples():

@@ -14,7 +14,7 @@ from darl.errors import (
     UnsupportedSampleSize,
 )
 from darl.prng import KNOWN_FERMAT_PRIMES, MersenneTwister, uniform_series
-from darl.stats import quartile_summary, relative_error, rmse, shapiro_wilk
+from darl.stats import _sw_weights, quartile_summary, relative_error, rmse, shapiro_wilk
 
 from golden_data import SW_FIXTURE, SW_FIXTURE_P, SW_FIXTURE_W
 
@@ -170,3 +170,11 @@ def test_quartile_matches_numpy_type7():
         assert abs(q.q1 - ref[0]) < 1e-12
         assert abs(q.q2 - ref[1]) < 1e-12
         assert abs(q.q3 - ref[2]) < 1e-12
+
+
+def test_sw_weights_cached_once_per_n_and_read_only():
+    first = _sw_weights(830)
+    assert _sw_weights(830) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
