@@ -42,7 +42,6 @@ from .prng import (
     KNOWN_FERMAT_PRIMES,
     SORT_ORDERS,
     MersenneTwister,
-    UniformSeries,
     uniform_series,
 )
 from .regression import LinearFit, fit_ols, predict_at
@@ -57,25 +56,3 @@ from .stats import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "DarlError", "NumericalDegeneracy", "DegenerateAbscissa", "DegenerateVariance",
-    "Singularity", "InvalidCoefficient", "DivisionByZero", "InsufficientSamples",
-    "InvalidBounds", "UnsupportedSampleSize", "ShapeMismatch", "MissingReference",
-    "SchemaError", "ValidationError", "ParseError", "UnknownFixture",
-    # prng
-    "KNOWN_FERMAT_PRIMES", "SORT_ORDERS", "MersenneTwister", "UniformSeries",
-    "uniform_series",
-    # regression
-    "LinearFit", "fit_ols", "predict_at",
-    # stats
-    "NormalityResult", "QuartileSummary", "shapiro_wilk", "rmse",
-    "relative_error", "quartile_summary",
-    # model
-    "AS_PRINTED", "SPAN_OVER_PHI_R2", "DARL_MODES", "darl_temperature",
-    "ExperimentConfig", "PredictionRecord", "ComparisonRecord", "build_series",
-    "run_configuration", "compare_with_reference", "rank_seeds",
-    # ingest
-    "FIXTURE_NAMES", "load_config", "dump_config", "Fixture", "load_fixture",
-]

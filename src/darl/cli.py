@@ -54,31 +54,30 @@ def _ensure_out_dir(out_dir: str) -> Path:
     return path
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
+def _parse_seeds(text: str, config_seeds: tuple[int, ...]) -> tuple[int, ...]:
+    """The --seeds subset; each seed must be one of the config's."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        seeds = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValidationError(f"--seeds expects comma-separated integers, got {text!r}") from None
+    if not set(seeds) <= set(config_seeds):
+        raise ValidationError(f"--seeds {text} is not a subset of the config seeds {list(config_seeds)}")
+    return seeds
 
 
 def _resolve_inputs(args) -> tuple[str, ExperimentConfig, list[tuple[float, float]] | None, Fixture | None]:
-    """Source name, config, reference observations and fixture (if any)."""
+    """Source name, config with the overrides (replace() checks them), reference and fixture (if any)."""
     reference_path = getattr(args, "reference", None)
     if args.fixture is not None:
-        if reference_path:
+        if reference_path is not None:
             raise ValidationError("--reference applies to --config runs; fixtures ship their own")
         fixture = load_fixture(args.fixture)
-        return fixture.name, fixture.config, list(fixture.reference), fixture
-    path = Path(args.config)
-    config = load_config(path.read_bytes())
-    reference = None
-    if reference_path:
-        reference = load_reference_csv(Path(reference_path).read_bytes())
-    return path.stem, config, reference, None
-
-
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    """The config with the command-line overrides; replace() checks them."""
+        name, config, reference = fixture.name, fixture.config, list(fixture.reference)
+    else:
+        fixture, path = None, Path(args.config)
+        name, config, reference = path.stem, load_config(path.read_bytes()), None
+        if reference_path is not None:
+            reference = load_reference_csv(Path(reference_path).read_bytes())
     changes = {}
     if getattr(args, "n_override", None) is not None:
         changes["n_override"] = args.n_override
@@ -86,9 +85,9 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         changes["sort_order"] = _ORDER_FLAGS[args.sort_order]
     if getattr(args, "darl_mode", None) is not None:
         changes["darl_mode"] = args.darl_mode
-    if getattr(args, "seeds", None):
-        changes["seeds"] = _parse_seeds(args.seeds)
-    return replace(config, **changes) if changes else config
+    if getattr(args, "seeds", None) is not None:
+        changes["seeds"] = _parse_seeds(args.seeds, config.seeds)
+    return name, replace(config, **changes) if changes else config, reference, fixture
 
 
 def _distribution_stats(values, strict: bool = True) -> dict:
@@ -117,6 +116,16 @@ def _distribution_stats(values, strict: bool = True) -> dict:
     }
 
 
+def _stats_cells(label, stats: dict, retained_word: str) -> tuple:
+    """One series table row from a _distribution_stats row; n/a when W is null."""
+    if stats["w_statistic"] is None:
+        test = ("n/a", "n/a", "n/a")
+    else:
+        test = (stats["w_statistic"], format(stats["p_value"], ".3e"),
+                "rejected" if stats["normality_rejected"] else retained_word)
+    return (label, stats["n"], *test, stats["q1"], stats["median"], stats["q3"], stats["iqr"])
+
+
 def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[SeedFit]) -> dict:
     """Published comparison rows beside this artifact's values, every mode.
 
@@ -135,10 +144,12 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
         comps, _ = compare_with_reference(records, fixture.reference)
         per_mode[mode] = {(c.seed, c.target_length_m): c for c in comps}
     rows = []
+    matched = {mode: [] for mode in modes}
     for pub in fixture.reported_rows:
         computed = {}
         for mode in modes:
             comp = per_mode[mode][(pub.seed, pub.target_length_m)]
+            matched[mode].append(comp)
             computed[mode] = {
                 "t_sim_c": comp.t_sim_c,
                 "delta_t_c": comp.delta_t_c,
@@ -151,12 +162,10 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
             "reported_relative_error_pct": pub.relative_error_pct,
             "computed": computed,
         })
-    rmse_block = {"reported_c": fixture.reported_rmse_c, "computed_c": {}}
-    for mode in modes:
-        pairs = [per_mode[mode][(r.seed, r.target_length_m)] for r in fixture.reported_rows]
-        rmse_block["computed_c"][mode] = rmse(
-            [c.t_obs_c for c in pairs], [c.t_sim_c for c in pairs]
-        )
+    rmse_block = {"reported_c": fixture.reported_rmse_c, "computed_c": {
+        mode: rmse([c.t_obs_c for c in pairs], [c.t_sim_c for c in pairs])
+        for mode, pairs in matched.items()
+    }}
     return {
         "note": (
             "Recorded, not asserted: the predictor evaluated as printed "
@@ -211,17 +220,7 @@ def _run_tables(report: dict) -> str:
         "series",
         render_table(
             ("seed", "n", "W", "p", "normal", "q1", "median", "q3", "iqr"),
-            [
-                (
-                    s["seed"], s["n"], s["w_statistic"], format(s["p_value"], ".3e"),
-                    "rejected" if s["normality_rejected"] else "retained",
-                    s["q1"], s["median"], s["q3"], s["iqr"],
-                ) if s["w_statistic"] is not None else (
-                    s["seed"], s["n"], "n/a", "n/a", "n/a",
-                    s["q1"], s["median"], s["q3"], s["iqr"],
-                )
-                for s in report["series"]
-            ],
+            [_stats_cells(s["seed"], s, "retained") for s in report["series"]],
         ),
         "predictions",
         render_table(
@@ -283,21 +282,20 @@ def _run_tables(report: dict) -> str:
 
 def cmd_generate(args) -> int:
     order = _ORDER_FLAGS[args.order]
-    series = uniform_series(args.seed, args.n, args.min, args.max, order)
-    text = render_series_csv(series.values)
+    values = uniform_series(args.seed, args.n, args.min, args.max, order)
+    text = render_series_csv(values)
     if args.out is not None:
         path = Path(args.out)
     else:
         path = _ensure_out_dir(args.out_dir) / f"series-seed{args.seed}-n{args.n}-{args.order}.csv"
     path.write_bytes(text.encode("utf-8"))
-    print(f"wrote {path} ({series.n} values, {order})")
+    print(f"wrote {path} ({len(values)} values, {order})")
     return 0
 
 
 def cmd_run(args) -> int:
     started = time.perf_counter()
     name, config, reference, fixture = _resolve_inputs(args)
-    config = _apply_overrides(config, args)
     report, comparisons = _build_report(name, config, reference, fixture)
     json_text = render_json(report) + "\n"
     out_dir = _ensure_out_dir(args.out_dir)
@@ -323,7 +321,6 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     name, config, reference, fixture = _resolve_inputs(args)
-    config = _apply_overrides(config, args)
     if reference is None:
         raise ValidationError("sweep needs reference observations: use a fixture or --reference")
     records = run_configuration(config)
@@ -362,16 +359,17 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     rows = []
     if args.series is not None:
+        if args.n_override is not None:
+            raise ValidationError("--n-override does not apply to a --series file")
         path = Path(args.series)
         values = load_series_csv(path.read_bytes())
         source = path.name
         rows.append({"source": source, **_distribution_stats(values)})
     else:
         source, config, _, _ = _resolve_inputs(args)
-        config = _apply_overrides(config, args)
         for seed in sorted(config.seeds):
-            _, series = build_series(config, seed)
-            rows.append({"source": f"seed {seed}", **_distribution_stats(series.values)})
+            _, values = build_series(config, seed)
+            rows.append({"source": f"seed {seed}", **_distribution_stats(values)})
     doc = {
         "tool": "darl",
         "version": __version__,
@@ -384,14 +382,7 @@ def cmd_validate(args) -> int:
     else:
         table = render_table(
             ("source", "n", "W", "p", "normality", "q1", "median", "q3", "iqr"),
-            [
-                (
-                    r["source"], r["n"], r["w_statistic"], format(r["p_value"], ".3e"),
-                    "rejected" if r["normality_rejected"] else "not rejected",
-                    r["q1"], r["median"], r["q3"], r["iqr"],
-                )
-                for r in rows
-            ],
+            [_stats_cells(r["source"], r, "not rejected") for r in rows],
         )
         sys.stdout.write(f"validate: {source}  alpha={ALPHA}\n{table}")
     return 0
@@ -457,15 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--darl-mode", choices=tuple(sorted(DARL_MODES)), default=None,
                             help="predictor reading override")
 
-    p = sub.add_parser("generate", parents=[out_dir],
-                       help="emit one sorted bounded series as a single-column CSV")
+    p = sub.add_parser("generate", help="emit one sorted bounded series as a single-column CSV")
     p.add_argument("--seed", type=int, required=True, help="32-bit generator seed")
     p.add_argument("--n", type=int, required=True, help="number of values")
     p.add_argument("--min", type=float, required=True, help="lower bound, degrees C")
     p.add_argument("--max", type=float, required=True, help="upper bound, degrees C")
     p.add_argument("--order", choices=tuple(_ORDER_FLAGS), default="asc",
                    help="sort direction (default: asc)")
-    p.add_argument("--out", default=None, help="output path (default: derived name in --out-dir)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--out", default=None, help="output path (default: derived name in --out-dir)")
+    group.add_argument("--out-dir", default=".", help="directory for the derived name (created if missing)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("run", parents=[out_dir, length, experiment],

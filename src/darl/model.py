@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .prng import (KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, SORT_ORDERS, TEMPERATURE_LIMIT_C,
-                   UniformSeries, uniform_series)
+                   uniform_series)
 from .regression import LinearFit, fit_ols, predict_at
 from .stats import relative_error, rmse
 
@@ -220,7 +220,7 @@ class ComparisonRecord:
     relative_error_pct: float
 
 
-def build_series(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, UniformSeries]:
+def build_series(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Length grid and the synthetic series paired with it, index for index.
 
     The grid spans [0, total_length] with x_i = i*L/(n-1); the series is a
@@ -228,8 +228,7 @@ def build_series(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, Unifo
     """
     n = config.sample_count()
     grid = np.arange(n, dtype=np.float64) * config.total_length_m / (n - 1)
-    series = uniform_series(seed, n, config.t_end_c, config.t_in_c, config.sort_order)
-    return grid, series
+    return grid, uniform_series(seed, n, config.t_end_c, config.t_in_c, config.sort_order)
 
 
 @dataclass(frozen=True)
@@ -245,13 +244,13 @@ def fit_seeds(config: ExperimentConfig) -> list[SeedFit]:
     """One series and one fit per seed, in seed order; a degenerate fit is logged."""
     out: list[SeedFit] = []
     for seed in sorted(config.seeds):
-        grid, series = build_series(config, seed)
+        grid, values = build_series(config, seed)
         try:
-            fit = fit_ols(np.column_stack((grid, series.values)))
+            fit = fit_ols(np.column_stack((grid, values)))
         except DegenerateVariance as exc:
             log.warning("seed %d skipped: %s", seed, exc)
             fit = None
-        out.append(SeedFit(seed, series.values, fit))
+        out.append(SeedFit(seed, values, fit))
     return out
 
 

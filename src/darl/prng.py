@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -127,32 +126,14 @@ class MersenneTwister(random.Random):
         return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
 
-@dataclass(frozen=True)
-class UniformSeries:
-    """Sorted synthetic temperature series tied to the seed that produced it."""
-
-    seed: int
-    t_min: float
-    t_max: float
-    order: str
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
 def uniform_series(
     seed: int,
     n: int,
     t_min: float,
     t_max: float,
     order: str = "ascending",
-) -> UniformSeries:
-    """n uniform draws mapped onto [t_min, t_max] and sorted.
+) -> np.ndarray:
+    """n uniform draws mapped onto [t_min, t_max], sorted, as a read-only array.
 
     Each value is t_min + u*(t_max - t_min) with u in [0, 1), so t_max itself
     is attained only in the degenerate case t_min == t_max. Identical
@@ -177,5 +158,5 @@ def uniform_series(
     values.sort()
     if order == "descending":
         values = values[::-1].copy()
-    return UniformSeries(seed=int(seed), t_min=float(t_min), t_max=float(t_max),
-                         order=order, values=values)
+    values.setflags(write=False)
+    return values

@@ -117,7 +117,7 @@ def test_criterion_4_normality_finding(capsys):
     p_values = {}
     for seed in KNOWN_FERMAT_PRIMES:
         series = uniform_series(seed, 538, 25.81, 31.01, "ascending")
-        result = shapiro_wilk(series.values)
+        result = shapiro_wilk(series)
         assert result.rejected and result.p_value < 0.05
         p_values[seed] = result.p_value
 

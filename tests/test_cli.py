@@ -220,13 +220,16 @@ def test_usage_error_exit_2():
     ["sweep", "--fixture", "experiment-a", "--format", "csv"],
     ["validate", "--fixture", "experiment-a", "--format", "csv"],
     ["fixtures", "--format", "csv"],
+    ["generate", "--seed", "3", "--n", "10", "--min", "0", "--max", "1", "--out", "p.csv", "--out-dir", "d"],
 ], ids=["generate-format", "validate-out-dir", "fixtures-out-dir", "validate-sort-order",
-        "validate-darl-mode", "sweep-csv", "validate-csv", "fixtures-csv"])
-def test_flag_that_changes_no_output_is_a_usage_error(argv, capsys):
+        "validate-darl-mode", "sweep-csv", "validate-csv", "fixtures-csv", "generate-out-and-out-dir"])
+def test_flag_that_changes_no_output_is_a_usage_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_fixture_ranking(tmp_path, capsys):
@@ -611,3 +614,57 @@ def test_run_reference_near_zero_exit_4(tmp_path, capsys, rows):
     assert rc == 4
     assert_one_error_line(capsys, "overflows")
     assert not (tmp_path / "custom-report.json").exists()
+
+
+@pytest.mark.parametrize("argv, code, reason", [
+    (["run", "--fixture", "experiment-a", "--seeds", ""], 2, "--seeds expects comma-separated integers"),
+    (["run", "--fixture", "experiment-a", "--reference", ""], 2, "--reference applies to --config runs"),
+    (["run", "--config", "custom.json", "--reference", ""], 3, "Is a directory"),
+], ids=["fixture-empty-seeds", "fixture-empty-reference", "config-empty-reference"])
+def test_run_empty_seeds_or_reference_is_an_error(tmp_path, capsys, monkeypatch, argv, code, reason):
+    write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert_one_error_line(capsys, reason)
+    assert not list(tmp_path.glob("*-report.json"))
+
+
+def test_run_seeds_outside_config_exit_2(tmp_path, capsys):
+    config_path = write_config(tmp_path, seeds=(3, 5))
+    rc = main(["run", "--config", str(config_path), "--seeds", "17", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert_one_error_line(capsys, "--seeds 17 is not a subset of the config seeds [3, 5]")
+    assert not (tmp_path / "custom-report.json").exists()
+
+
+def test_validate_series_with_n_override_exit_2(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text(render_series_csv([25.0, 26.5, 27.0, 29.5]))
+    assert main(["validate", "--series", str(series), "--n-override", "7"]) == 2
+    assert_one_error_line(capsys, "--n-override does not apply to a --series file")
+
+
+def series_table_rows(text, label_words):
+    """(label, n, W, p, verdict, q1, median, q3, iqr) per data row of a series table."""
+    rows = []
+    for line in text.splitlines():
+        cells = line.split()
+        label, rest = " ".join(cells[:label_words]), cells[label_words:]
+        rows.append((label, *rest[:3], " ".join(rest[3:-4]), *rest[-4:]))
+    return rows
+
+
+def test_run_and_validate_series_tables_share_stats_cells(tmp_path, capsys):
+    assert main(["run", "--fixture", "experiment-a", "--out-dir", str(tmp_path)]) == 0
+    run_out = capsys.readouterr().out
+    run_table = run_out.split("\nseries\n")[1].split("\npredictions\n")[0]
+    assert main(["validate", "--fixture", "experiment-a"]) == 0
+    validate_table = capsys.readouterr().out.split("\n", 1)[1]
+    run_rows = series_table_rows(run_table, 1)[2:]
+    validate_rows = series_table_rows(validate_table, 2)[2:]
+    assert len(run_rows) == len(validate_rows) == 5
+    for run_row, validate_row in zip(run_rows, validate_rows):
+        assert validate_row[0] == f"seed {run_row[0]}"
+        assert validate_row[1:4] == run_row[1:4] and validate_row[5:] == run_row[5:]
+        assert run_row[4] in ("rejected", "retained")
+        assert validate_row[4] == ("rejected" if run_row[4] == "rejected" else "not rejected")

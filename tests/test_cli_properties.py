@@ -3,7 +3,8 @@
 ``darl run``, ``sweep`` and ``validate --series`` either succeed and exit 0,
 or print an ``error:`` line and exit 2, 3 or 4; an unexpected exception
 escaping ``main`` fails the property, and so does a numpy RuntimeWarning (an
-overflow or an invalid operation on some path). Each document starts from a
+overflow or an invalid operation on some path; the suite makes every warning
+an error). Each document starts from a
 valid config and replaces a few keys with values of the key's JSON type,
 including extremes: lengths such as 1e307 m, ``n_override`` beyond the sample
 bound, finite temperatures whose span overflows, pipes too long or too short
@@ -19,7 +20,6 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,7 +106,6 @@ def write_inputs(tmp, doc, reference):
     return argv
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(doc=config_docs(), reference=st.one_of(st.none(), references))
 def test_run_any_config_exits_0_2_3_or_4(doc, reference):
@@ -114,7 +113,6 @@ def test_run_any_config_exits_0_2_3_or_4(doc, reference):
         assert_exit_contract(["run", *write_inputs(Path(tmp), doc, reference)])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(doc=config_docs(), reference=references)
 def test_sweep_any_config_exits_0_2_3_or_4(doc, reference):
@@ -122,7 +120,6 @@ def test_sweep_any_config_exits_0_2_3_or_4(doc, reference):
         assert_exit_contract(["sweep", *write_inputs(Path(tmp), doc, reference)])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(data=series_files)
 def test_validate_any_series_exits_0_2_3_or_4(data):

@@ -174,21 +174,22 @@ def test_sample_count_rule():
 def test_build_series_grid_and_pairing():
     config = config_a()
     grid, series = build_series(config, 5)
-    assert len(grid) == series.n == 540
+    assert isinstance(series, np.ndarray)
+    assert len(grid) == len(series) == 540
     assert grid[0] == 0.0
     assert abs(grid[-1] - 5.4) < 1e-12
     assert np.all(np.diff(grid) > 0.0)
-    assert series.t_min == 25.81 and series.t_max == 31.01
+    assert series.min() >= 25.81 and series.max() <= 31.01
     grid_538, series_538 = build_series(config_a(n_override=538), 5)
-    assert len(grid_538) == series_538.n == 538
+    assert len(grid_538) == len(series_538) == 538
 
 
 def test_flat_series_degenerates_downstream():
     grid, _ = build_series(config_a(), 5)
     series = uniform_series(5, 540, 25.0, 25.0)
-    assert np.all(series.values == 25.0)
+    assert np.all(series == 25.0)
     with pytest.raises(DegenerateVariance):
-        fit_ols(zip(grid.tolist(), series.values.tolist()))
+        fit_ols(zip(grid.tolist(), series.tolist()))
 
 
 def test_run_configuration_single_seed():

@@ -149,33 +149,34 @@ def test_from_key_state_matches_numpy_random_state():
 
 def test_uniform_series_published_configuration():
     series = uniform_series(3, 538, 25.81, 31.01, "ascending")
-    assert series.n == 538
-    assert np.all(np.diff(series.values) >= 0.0)
-    assert series.values.min() >= 25.81
-    assert series.values.max() <= 31.01
+    assert len(series) == 538
+    assert np.all(np.diff(series) >= 0.0)
+    assert series.min() >= 25.81
+    assert series.max() <= 31.01
 
 
 def test_uniform_series_degenerate_interval():
     series = uniform_series(3, 538, 25.0, 25.0)
-    assert np.all(series.values == 25.0)
+    assert np.all(series == 25.0)
 
 
 def test_uniform_series_determinism():
     a = uniform_series(17, 538, 25.81, 31.01, "ascending")
     b = uniform_series(17, 538, 25.81, 31.01, "ascending")
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_uniform_series_descending_reverses_ascending():
     asc = uniform_series(5, 200, 20.0, 30.0, "ascending")
     desc = uniform_series(5, 200, 20.0, 30.0, "descending")
-    assert np.array_equal(desc.values, asc.values[::-1])
+    assert np.array_equal(desc, asc[::-1])
 
 
 def test_uniform_series_values_immutable():
     series = uniform_series(5, 10, 0.0, 1.0)
+    assert isinstance(series, np.ndarray)
     with pytest.raises(ValueError):
-        series.values[0] = 99.0
+        series[0] = 99.0
 
 
 def test_uniform_series_errors():
@@ -202,8 +203,8 @@ def test_uniform_series_property_battery():
         lo, hi = sorted((rng.uniform(-50, 50), rng.uniform(-50, 50)))
         order = rng.choice(("ascending", "descending"))
         series = uniform_series(seed, n, lo, hi, order)
-        assert series.n == n
-        assert series.values.min() >= lo
-        assert series.values.max() <= hi
-        diffs = np.diff(series.values)
+        assert len(series) == n
+        assert series.min() >= lo
+        assert series.max() <= hi
+        diffs = np.diff(series)
         assert np.all(diffs >= 0.0) if order == "ascending" else np.all(diffs <= 0.0)
