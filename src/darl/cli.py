@@ -141,7 +141,7 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
     per_mode = {}
     for mode in modes:
         records = predict(replace(pristine, darl_mode=mode), fits)
-        comps, _ = compare_with_reference(records, fixture.reference)
+        comps = compare_with_reference(records, fixture.reference)
         per_mode[mode] = {(c.seed, c.target_length_m): c for c in comps}
     rows = []
     matched = {mode: [] for mode in modes}
@@ -184,7 +184,7 @@ def _build_report(
     config: ExperimentConfig,
     reference: list[tuple[float, float]] | None,
     fixture: Fixture | None,
-):
+) -> dict:
     fits = fit_seeds(config)
     records = predict(config, fits)
     report = {
@@ -200,15 +200,15 @@ def _build_report(
         ],
         "predictions": [dict(vars(r)) for r in records],
     }
-    comparisons = None
     if reference is not None:
-        comparisons, rmse_by_seed = compare_with_reference(records, reference)
+        comparisons = compare_with_reference(records, reference)
+        ranking = rank_seeds(comparisons)
         report["comparisons"] = [dict(vars(c)) for c in comparisons]
-        report["rmse_by_seed"] = dict(sorted(rmse_by_seed.items()))
-        report["best_seed"] = rank_seeds(comparisons)[0][1]
+        report["rmse_by_seed"] = dict(sorted((seed, rmse_c) for _, seed, rmse_c in ranking))
+        report["best_seed"] = ranking[0][1]
     if fixture is not None:
         report["discrepancy_report"] = _discrepancy_block(fixture, config, fits)
-    return report, comparisons
+    return report
 
 
 def _run_tables(report: dict) -> str:
@@ -296,23 +296,22 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     started = time.perf_counter()
     name, config, reference, fixture = _resolve_inputs(args)
-    report, comparisons = _build_report(name, config, reference, fixture)
+    report = _build_report(name, config, reference, fixture)
     json_text = render_json(report) + "\n"
     out_dir = _ensure_out_dir(args.out_dir)
     (out_dir / f"{name}-report.json").write_bytes(json_text.encode("utf-8"))
-    plot_text = None
+    # the best seed's rows; without a reference, the header alone
+    comparisons = report.get("comparisons", [])
+    plot_text = render_plot_csv(sorted(
+        (c["target_length_m"], c["t_sim_c"], c["t_obs_c"])
+        for c in comparisons if c["seed"] == report["best_seed"]
+    ))
     if comparisons:
-        best = report["best_seed"]
-        rows = sorted(
-            (c.target_length_m, c.t_sim_c, c.t_obs_c)
-            for c in comparisons if c.seed == best
-        )
-        plot_text = render_plot_csv(rows)
         (out_dir / f"{name}-plot.csv").write_bytes(plot_text.encode("utf-8"))
     if args.format == "json":
         sys.stdout.write(json_text)
     elif args.format == "csv":
-        sys.stdout.write(plot_text if plot_text is not None else "length_m,t_sim_c,t_obs_c\n")
+        sys.stdout.write(plot_text)
     else:
         sys.stdout.write(_run_tables(report))
     print(f"wall_time_s={time.perf_counter() - started:.6f}", file=sys.stderr)
@@ -323,9 +322,7 @@ def cmd_sweep(args) -> int:
     name, config, reference, fixture = _resolve_inputs(args)
     if reference is None:
         raise ValidationError("sweep needs reference observations: use a fixture or --reference")
-    records = run_configuration(config)
-    comparisons, rmse_by_seed = compare_with_reference(records, reference)
-    ranking = rank_seeds(comparisons)
+    ranking = rank_seeds(compare_with_reference(run_configuration(config), reference))
     best = ranking[0][1]
     doc = {
         "tool": "darl",
@@ -336,9 +333,9 @@ def cmd_sweep(args) -> int:
             {
                 "seed": seed,
                 "mean_relative_error_pct": mean_err,
-                "rmse_c": rmse_by_seed[seed],
+                "rmse_c": rmse_c,
             }
-            for mean_err, seed in ranking
+            for mean_err, seed, rmse_c in ranking
         ],
         "best_seed": best,
     }

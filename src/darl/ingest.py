@@ -59,10 +59,20 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(**doc)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; SchemaError for a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"config repeats key {key}")
+        doc[key] = value
+    return doc
+
+
 def load_config(data: bytes) -> ExperimentConfig:
     """Parse an experiment config from JSON bytes; ExperimentConfig checks it."""
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from None
     return _config_from_mapping(doc)

@@ -19,7 +19,6 @@ the temperature span by t_phi * r_squared instead.
 
 from __future__ import annotations
 
-import logging
 import sys
 from dataclasses import dataclass, fields
 from statistics import fmean
@@ -28,7 +27,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateVariance,
     DivisionByZero,
     InsufficientSamples,
     InvalidCoefficient,
@@ -41,8 +39,6 @@ from .prng import (KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, SORT_ORDERS, TEMPERATU
                    uniform_series)
 from .regression import LinearFit, fit_ols, predict_at
 from .stats import relative_error, rmse
-
-log = logging.getLogger(__name__)
 
 #: Longest pipe accepted, metres: MAX_SAMPLE_COUNT at one sample per centimetre.
 MAX_TOTAL_LENGTH_M = MAX_SAMPLE_COUNT / 100.0
@@ -176,6 +172,8 @@ class ExperimentConfig:
                 )
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError("seed list contains duplicates")
+        if len(set(self.target_lengths_m)) != len(self.target_lengths_m):
+            raise ValidationError("target length list contains duplicates")
         if self.t_w_uncertainty_c < 0.0:
             raise ValidationError("t_w_uncertainty_c must be nonnegative")
         if self.n_override is not None and self.n_override < 2:
@@ -233,33 +231,26 @@ def build_series(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class SeedFit:
-    """One seed's series values and its fit (None when the fit degenerates)."""
+    """One seed's series values and its fit."""
 
     seed: int
     values: np.ndarray
-    fit: LinearFit | None
+    fit: LinearFit
 
 
 def fit_seeds(config: ExperimentConfig) -> list[SeedFit]:
-    """One series and one fit per seed, in seed order; a degenerate fit is logged."""
+    """One series and one fit per seed, in seed order; a degenerate series raises."""
     out: list[SeedFit] = []
     for seed in sorted(config.seeds):
         grid, values = build_series(config, seed)
-        try:
-            fit = fit_ols(np.column_stack((grid, values)))
-        except DegenerateVariance as exc:
-            log.warning("seed %d skipped: %s", seed, exc)
-            fit = None
-        out.append(SeedFit(seed, values, fit))
+        out.append(SeedFit(seed, values, fit_ols(np.column_stack((grid, values)))))
     return out
 
 
 def predict(config: ExperimentConfig, fits: Iterable[SeedFit]) -> list[PredictionRecord]:
-    """Predictions under ``config.darl_mode`` at every target length, per fitted seed."""
+    """Predictions under ``config.darl_mode`` at every target length, per seed."""
     records: list[PredictionRecord] = []
     for sf in fits:
-        if sf.fit is None:
-            continue
         for x in sorted(config.target_lengths_m):
             t_phi = predict_at(sf.fit, x)
             t_sim, flagged = darl_temperature(
@@ -281,8 +272,8 @@ def run_configuration(config: ExperimentConfig) -> list[PredictionRecord]:
 def compare_with_reference(
     records: Sequence[PredictionRecord],
     reference: Iterable[tuple[float, float]],
-) -> tuple[list[ComparisonRecord], dict[int, float]]:
-    """Per-record comparison rows plus RMSE over the matched pairs, per seed.
+) -> list[ComparisonRecord]:
+    """One comparison row per record, in record order.
 
     Raises MissingReference when a record's target length has no reference
     observation.
@@ -303,24 +294,24 @@ def compare_with_reference(
             delta_t_c=abs(rec.t_sim_c - t_obs),
             relative_error_pct=relative_error(t_obs, rec.t_sim_c),
         ))
-    rmse_by_seed: dict[int, float] = {}
-    for seed in sorted({c.seed for c in comparisons}):
-        pairs = [c for c in comparisons if c.seed == seed]
-        rmse_by_seed[seed] = rmse([c.t_obs_c for c in pairs], [c.t_sim_c for c in pairs])
-    return comparisons, rmse_by_seed
+    return comparisons
 
 
-def rank_seeds(comparisons: Iterable[ComparisonRecord]) -> list[tuple[float, int]]:
-    """(mean relative error %, seed) per seed, best first.
+def rank_seeds(comparisons: Iterable[ComparisonRecord]) -> list[tuple[float, int, float]]:
+    """(mean relative error %, seed, RMSE degrees C) per seed, best first.
 
     Ties go to the smaller seed, so ``rank_seeds(c)[0][1]`` is the best seed.
     """
-    by_seed: dict[int, list[float]] = {}
+    by_seed: dict[int, list[ComparisonRecord]] = {}
     for c in comparisons:
-        by_seed.setdefault(c.seed, []).append(c.relative_error_pct)
+        by_seed.setdefault(c.seed, []).append(c)
     if not by_seed:
         raise InsufficientSamples("no comparison records to rank")
-    try:
-        return sorted((fmean(errs), seed) for seed, errs in by_seed.items())
-    except OverflowError:
-        raise DivisionByZero("mean relative error overflows; an observed value is near zero") from None
+    ranking = []
+    for seed, rows in by_seed.items():
+        try:
+            mean_err = fmean([c.relative_error_pct for c in rows])
+        except OverflowError:
+            raise DivisionByZero("mean relative error overflows; an observed value is near zero") from None
+        ranking.append((mean_err, seed, rmse([c.t_obs_c for c in rows], [c.t_sim_c for c in rows])))
+    return sorted(ranking)

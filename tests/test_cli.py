@@ -395,6 +395,17 @@ def test_entry_point_subprocess(tmp_path):
     assert (tmp_path / "experiment-a-report.json").exists()
 
 
+def test_cli_import_loads_no_unneeded_modules():
+    # nothing logs, and the draws use random.Random, not numpy.random
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import darl.cli, sys; print(sorted({'logging', 'numpy.random'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "[]\n"
+
+
 def test_subprocess_usage_error_exit_2():
     result = subprocess.run(
         [sys.executable, "-m", "darl", "run"],
@@ -523,14 +534,41 @@ def test_run_override_keeps_pristine_discrepancy_report(tmp_path, capsys, fixtur
     ({"total_length_m": 1e307}, "series length inf exceeds the maximum of 1000000 samples"),
     ({"n_override": MAX_SAMPLE_COUNT + 1}, "series length 1000001 exceeds the maximum"),
     ({"total_length_m": 1e307, "n_override": 600}, "total_length_m 1e+307 exceeds the maximum of 10000 m"),
+    ({"target_lengths_m": [2.5, 2.5, 3.4]}, "target length list contains duplicates"),
 ], ids=["nan", "infinity", "infinite-target", "string-temperature", "string-seed",
         "fractional-n-override", "huge-temperature", "huge-length", "n-override-beyond-bound",
-        "huge-length-with-n-override"])
+        "huge-length-with-n-override", "duplicate-target-length"])
 def test_run_config_bad_value_exit_2(tmp_path, capsys, overrides, reason):
     config_path = write_raw_config(tmp_path, **overrides)
     assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 2
     assert_one_error_line(capsys, reason)
     assert not (tmp_path / "raw-report.json").exists()
+
+
+def test_run_config_repeated_key_exit_2(tmp_path, capsys):
+    doc = write_config(tmp_path).read_text().rstrip().removesuffix("}")
+    config_path = tmp_path / "raw.json"
+    config_path.write_text(doc + ',\n  "t_in_c": 99.0\n}\n')
+    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 2
+    assert_one_error_line(capsys, "config repeats key t_in_c")
+    assert not (tmp_path / "raw-report.json").exists()
+
+
+@pytest.mark.parametrize("argv, total_length_m, target_m", [
+    (["run"], 60.0, 30.0),
+    (["run", "--reference", "reference.csv"], 60.0, 30.0),
+    (["sweep", "--reference", "reference.csv"], 60.0, 30.0),
+    (["run"], 5.4, 3.0),
+], ids=["run-60m", "run-60m-reference", "sweep-60m-reference", "run-5.4m"])
+def test_run_underflowing_series_spread_exit_4(tmp_path, capsys, monkeypatch, argv, total_length_m, target_m):
+    # a 1e-300 degree span underflows the y variance of every seed's fit
+    config_path = write_config(tmp_path, t_in_c=1e-300, t_end_c=0.0, t_w_c=0.0,
+                               total_length_m=total_length_m, target_lengths_m=(target_m,))
+    (tmp_path / "reference.csv").write_text("length_m,t_obs_c\n30.0,1.0\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--config", str(config_path), "--out-dir", "out"]) == 4
+    assert capsys.readouterr().err == "error: zero total variance in y\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_underflowing_length_spread_exit_4(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Predictor arithmetic, experiment configs, runs and seed selection."""
 
-import logging
 import math
 import random
 
@@ -27,6 +26,7 @@ from darl.model import (
     build_series,
     compare_with_reference,
     darl_temperature,
+    fit_seeds,
     rank_seeds,
     run_configuration,
 )
@@ -145,6 +145,7 @@ def test_config_validation_accepts_fixture_shapes():
     {"n_override": MAX_SAMPLE_COUNT + 1},
     {"total_length_m": 1e307, "n_override": 600},  # the grid would overflow
     {"total_length_m": 10_000.5, "n_override": 2},
+    {"target_lengths_m": (2.5, 2.5, 3.4)},  # a repeated length would count twice
 ])
 def test_config_validation_rejections(overrides):
     with pytest.raises(ValidationError):
@@ -241,17 +242,17 @@ def make_records(t_sims, seed=5):
 def test_compare_identical_values():
     reference = [(2.5, 28.80), (3.4, 27.37), (4.4, 26.67)]
     records = make_records([t for _, t in reference])
-    comparisons, rmse_by_seed = compare_with_reference(records, reference)
+    comparisons = compare_with_reference(records, reference)
     assert all(c.delta_t_c == 0.0 for c in comparisons)
     assert all(c.relative_error_pct == 0.0 for c in comparisons)
-    assert rmse_by_seed == {5: 0.0}
+    assert rank_seeds(comparisons) == [(0.0, 5, 0.0)]
 
 
 def test_compare_published_row_arithmetic():
     reference = [(2.5, 28.80), (3.4, 27.37), (4.4, 26.67)]
     offsets = (0.36, 0.49, 0.64)
     records = make_records([t + d for (_, t), d in zip(reference, offsets)])
-    comparisons, _ = compare_with_reference(records, reference)
+    comparisons = compare_with_reference(records, reference)
     expected = (1.25, 1.79, 2.40)
     for comparison, want in zip(comparisons, expected):
         assert abs(comparison.relative_error_pct - want) < 0.01
@@ -267,7 +268,9 @@ def test_compare_rmse_per_seed():
     reference = [(2.5, 28.80), (3.4, 27.37), (4.4, 26.67)]
     records = make_records([28.80, 27.37, 26.67], seed=3)
     records += make_records([29.80, 28.37, 27.67], seed=5)
-    _, rmse_by_seed = compare_with_reference(records, reference)
+    ranking = rank_seeds(compare_with_reference(records, reference))
+    assert [seed for _, seed, _ in ranking] == [3, 5]
+    rmse_by_seed = {seed: rmse_c for _, seed, rmse_c in ranking}
     assert rmse_by_seed[3] == 0.0
     assert abs(rmse_by_seed[5] - 1.0) < 1e-12
 
@@ -279,7 +282,7 @@ def comparison(seed, err, length=2.5):
 
 def test_select_best_seed_tie_break():
     comparisons = [comparison(seed, 2.0) for seed in (17, 3, 5)]
-    assert rank_seeds(comparisons) == [(2.0, 3), (2.0, 5), (2.0, 17)]
+    assert rank_seeds(comparisons) == [(2.0, 3, 1.0), (2.0, 5, 1.0), (2.0, 17, 1.0)]
 
 
 def test_select_best_seed_prefers_lowest_mean():
@@ -288,20 +291,20 @@ def test_select_best_seed_prefers_lowest_mean():
         comparison(5, 1.0), comparison(5, 2.0),
         comparison(17, 2.0), comparison(17, 6.0),
     ]
-    assert rank_seeds(comparisons) == [(1.5, 5), (4.0, 3), (4.0, 17)]
+    assert rank_seeds(comparisons) == [(1.5, 5, 1.0), (4.0, 3, 1.0), (4.0, 17, 1.0)]
 
 
 def test_select_best_seed_single_and_empty():
-    assert rank_seeds([comparison(257, 9.0)]) == [(9.0, 257)]
+    assert rank_seeds([comparison(257, 9.0)]) == [(9.0, 257, 1.0)]
     with pytest.raises(InsufficientSamples):
         rank_seeds([])
     with pytest.raises(DivisionByZero, match="overflows"):
         rank_seeds([comparison(3, 1e308), comparison(3, 1e308, length=3.4)])
 
 
-def test_degenerate_seed_skipped_with_diagnostic(monkeypatch, caplog):
-    # a validated config cannot produce a flat series, so force one seed's
-    # series flat to exercise the skip-and-log guard
+def test_degenerate_seed_fails_the_fit(monkeypatch):
+    # force one seed's series flat: the run fails rather than report
+    # the other four seeds without it
     import darl.model as model_module
 
     real = model_module.uniform_series
@@ -312,8 +315,5 @@ def test_degenerate_seed_skipped_with_diagnostic(monkeypatch, caplog):
         return real(seed, n, t_min, t_max, order)
 
     monkeypatch.setattr(model_module, "uniform_series", flatten_seed_5)
-    with caplog.at_level(logging.WARNING, logger="darl.model"):
-        records = run_configuration(config_a())
-    assert {r.seed for r in records} == {3, 17, 257, 65537}
-    assert len(records) == 12
-    assert any("seed 5" in message for message in caplog.messages)
+    with pytest.raises(DegenerateVariance, match="all y values are identical"):
+        fit_seeds(config_a())
