@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedSampleSize,
     ValidationError,
 )
-from .ingest import FIXTURE_NAMES, Fixture, dump_config, load_config, load_fixture
+from .ingest import FIXTURE_NAMES, Fixture, load_config, load_fixture
 from .model import (
     AS_PRINTED,
     DARL_MODES,

@@ -365,8 +365,7 @@ def cmd_validate(args) -> int:
     else:
         source, config, _, _ = _resolve_inputs(args)
         for seed in sorted(config.seeds):
-            _, values = build_series(config, seed)
-            rows.append({"source": f"seed {seed}", **_distribution_stats(values)})
+            rows.append({"source": f"seed {seed}", **_distribution_stats(build_series(config, seed))})
     doc = {
         "tool": "darl",
         "version": __version__,

@@ -18,7 +18,6 @@ from .errors import (
 )
 from .model import ExperimentConfig
 from .prng import TEMPERATURE_LIMIT_C
-from .serialize import render_json
 
 FIXTURE_NAMES = ("experiment-a", "experiment-b")
 
@@ -35,6 +34,8 @@ def _decode(data: bytes, what: str) -> str:
 
 def _finite(cell: str, idx: int) -> float:
     """A finite CSV number within ±TEMPERATURE_LIMIT_C (lengths are far smaller)."""
+    if "_" in cell or not cell.isascii():  # float() also reads "2_5" and non-ASCII digits
+        raise ParseError(f"row {idx}: unparseable numeric value")
     try:
         value = float(cell)
     except ValueError:
@@ -75,17 +76,14 @@ def load_config(data: bytes) -> ExperimentConfig:
         doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("config is nested too deeply to parse") from None
     return _config_from_mapping(doc)
 
 
 def config_to_mapping(config: ExperimentConfig) -> dict:
     """Flat schema-keyed mapping for serialization; inverse of load_config."""
     return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(config).items()}
-
-
-def dump_config(config: ExperimentConfig) -> bytes:
-    """Serialize a config to JSON bytes; load_config(dump_config(c)) == c."""
-    return (render_json(config_to_mapping(config)) + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,8 @@ class ExperimentConfig:
                 f"t_in_c ({self.t_in_c}) must exceed t_end_c ({self.t_end_c}): "
                 "the exchanger cools the air"
             )
+        if not self.target_lengths_m:
+            raise ValidationError("target length list must be nonempty")
         for x in self.target_lengths_m:
             if not 0.0 < x < self.total_length_m:
                 raise ValidationError(
@@ -218,15 +220,9 @@ class ComparisonRecord:
     relative_error_pct: float
 
 
-def build_series(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Length grid and the synthetic series paired with it, index for index.
-
-    The grid spans [0, total_length] with x_i = i*L/(n-1); the series is a
-    sorted bounded uniform sample between t_end and t_in.
-    """
-    n = config.sample_count()
-    grid = np.arange(n, dtype=np.float64) * config.total_length_m / (n - 1)
-    return grid, uniform_series(seed, n, config.t_end_c, config.t_in_c, config.sort_order)
+def build_series(config: ExperimentConfig, seed: int) -> np.ndarray:
+    """The seed's synthetic series: a sorted bounded uniform sample between t_end and t_in."""
+    return uniform_series(seed, config.sample_count(), config.t_end_c, config.t_in_c, config.sort_order)
 
 
 @dataclass(frozen=True)
@@ -239,10 +235,15 @@ class SeedFit:
 
 
 def fit_seeds(config: ExperimentConfig) -> list[SeedFit]:
-    """One series and one fit per seed, in seed order; a degenerate series raises."""
+    """One series and one fit per seed, in seed order; a degenerate series raises.
+
+    Every seed is fitted against the same length grid, x_i = i*L/(n-1) over [0, L].
+    """
+    n = config.sample_count()
+    grid = np.arange(n, dtype=np.float64) * config.total_length_m / (n - 1)
     out: list[SeedFit] = []
     for seed in sorted(config.seeds):
-        grid, values = build_series(config, seed)
+        values = build_series(config, seed)
         out.append(SeedFit(seed, values, fit_ols(np.column_stack((grid, values)))))
     return out
 

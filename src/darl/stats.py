@@ -71,27 +71,34 @@ class QuartileSummary:
 
 
 @lru_cache(maxsize=8)
-def _sw_weights(n: int) -> np.ndarray:
-    """Lower-half Shapiro-Wilk weights for sample size n (n >= 4); read-only, cached per n."""
+def _sw_weights(n: int) -> tuple[np.ndarray, float]:
+    """Centered Shapiro-Wilk weights for sample size n >= 3 and their square sum; read-only, cached per n."""
     half = n // 2
-    m = np.array([_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, half + 1)])
-    summ2 = 2.0 * float(np.sum(m * m))
-    ssumm2 = math.sqrt(summ2)
-    rsn = 1.0 / math.sqrt(n)
-    a1 = _poly(_C1, rsn) - m[0] / ssumm2
-    if n > 5:
-        a2 = -m[1] / ssumm2 + _poly(_C2, rsn)
-        fac = math.sqrt((summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
-                        / (1.0 - 2.0 * a1 ** 2 - 2.0 * a2 ** 2))
-        a = m / -fac
-        a[0] = a1
-        a[1] = a2
+    if n == 3:
+        a = np.array([math.sqrt(0.5)])
     else:
-        fac = math.sqrt((summ2 - 2.0 * m[0] ** 2) / (1.0 - 2.0 * a1 ** 2))
-        a = m / -fac
-        a[0] = a1
-    a.setflags(write=False)
-    return a
+        m = np.array([_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, half + 1)])
+        summ2 = 2.0 * float(np.sum(m * m))
+        ssumm2 = math.sqrt(summ2)
+        rsn = 1.0 / math.sqrt(n)
+        a1 = _poly(_C1, rsn) - m[0] / ssumm2
+        if n > 5:
+            a2 = -m[1] / ssumm2 + _poly(_C2, rsn)
+            fac = math.sqrt((summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
+                            / (1.0 - 2.0 * a1 ** 2 - 2.0 * a2 ** 2))
+            a = m / -fac
+            a[0] = a1
+            a[1] = a2
+        else:
+            fac = math.sqrt((summ2 - 2.0 * m[0] ** 2) / (1.0 - 2.0 * a1 ** 2))
+            a = m / -fac
+            a[0] = a1
+    weights = np.zeros(n)
+    weights[:half] = -a  # weights for the lower tail are negative
+    weights[n - half:] = a[::-1]
+    weights -= weights.mean()
+    weights.setflags(write=False)
+    return weights, float(np.dot(weights, weights))
 
 
 def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
@@ -109,20 +116,10 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
     if x[-1] - x[0] < 1e-19:
         raise DegenerateVariance("sample has zero range")
 
-    half = n // 2
-    if n == 3:
-        lower = np.array([-math.sqrt(0.5)])
-    else:
-        lower = -_sw_weights(n)  # weights for the lower tail are negative
-    weights = np.zeros(n)
-    weights[:half] = lower
-    weights[n - half:] = -lower[::-1]
-
+    wc, ssw = _sw_weights(n)
     # squared correlation, evaluated via 1 - W to keep precision near W = 1
     xc = x - x.mean()
-    wc = weights - weights.mean()
     ssx = float(np.dot(xc, xc))
-    ssw = float(np.dot(wc, wc))
     sax = float(np.dot(wc, xc))
     ssassx = math.sqrt(ssw * ssx)
     w1 = (ssassx - sax) * (ssassx + sax) / (ssw * ssx)
@@ -135,6 +132,8 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
         p = min(1.0, max(0.0, p))
         return NormalityResult(w_statistic=w, p_value=p, n=n)
 
+    if w1 <= 0.0:  # W rounds to 1: the p-value's limit as 1 - W -> 0
+        return NormalityResult(w_statistic=w, p_value=1.0, n=n)
     y = math.log(w1)
     if n <= 11:
         gamma = _poly(_G, n)

@@ -11,7 +11,7 @@ import pytest
 
 import darl.model
 from darl.cli import main
-from darl.ingest import config_to_mapping, dump_config, load_config, load_fixture
+from darl.ingest import config_to_mapping, load_config, load_fixture
 from darl.model import ExperimentConfig, run_configuration
 from darl.prng import MAX_SAMPLE_COUNT, MersenneTwister
 from darl.serialize import render_series_csv
@@ -25,7 +25,7 @@ def write_config(tmp_path, name="custom", **overrides):
     )
     base.update(overrides)
     path = tmp_path / f"{name}.json"
-    path.write_bytes(dump_config(ExperimentConfig(**base)))
+    path.write_text(json.dumps(config_to_mapping(ExperimentConfig(**base))))
     return path
 
 
@@ -260,7 +260,7 @@ def test_sweep_constructed_winner(tmp_path, capsys):
     seed_5 = {r.target_length_m: r.t_sim_c for r in run_configuration(config)
               if r.seed == 5}
     config_path = tmp_path / "constructed.json"
-    config_path.write_bytes(dump_config(config))
+    config_path.write_text(json.dumps(config_to_mapping(config)))
     reference = tmp_path / "reference.csv"
     reference.write_text(
         "length_m,t_obs_c\n"
@@ -328,6 +328,19 @@ def test_validate_pseudo_normal_series_retained(tmp_path, capsys):
     row = doc["results"][0]
     assert not row["normality_rejected"]
     assert row["p_value"] >= 0.05
+
+
+def test_validate_series_whose_w_rounds_to_one(tmp_path, capsys):
+    # the n = 4 Shapiro-Wilk weights themselves: 1 - W rounds to zero or below
+    series = tmp_path / "unit-w.csv"
+    series.write_text("Ordered_Value\n-0.687264285908471\n-0.166336410069231\n"
+                      "0.166336410069231\n0.687264285908471\n")
+    assert main(["validate", "--series", str(series), "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    assert (row["w_statistic"], row["p_value"], row["normality_rejected"]) == (1.0, 1.0, False)
+    assert main(["validate", "--series", str(series)]) == 0
+    captured = capsys.readouterr()
+    assert "not rejected" in captured.out and captured.err == ""
 
 
 def test_validate_short_series_exit_2(tmp_path, capsys):
@@ -431,7 +444,9 @@ BAD_CELLS = pytest.mark.parametrize("cell, reason", [
     (b"28.8\xff", "not valid UTF-8"),
     (b"nan", "non-finite"),
     (b"1e200", "value 1e+200 beyond"),
-], ids=["non-utf8", "nan", "huge"])
+    (b"2_8.80", "unparseable numeric value"),
+    ("\u0662\u0668.8".encode(), "unparseable numeric value"),
+], ids=["non-utf8", "nan", "huge", "digit-separator", "arabic-indic-digits"])
 
 
 @BAD_CELLS
@@ -535,14 +550,25 @@ def test_run_override_keeps_pristine_discrepancy_report(tmp_path, capsys, fixtur
     ({"n_override": MAX_SAMPLE_COUNT + 1}, "series length 1000001 exceeds the maximum"),
     ({"total_length_m": 1e307, "n_override": 600}, "total_length_m 1e+307 exceeds the maximum of 10000 m"),
     ({"target_lengths_m": [2.5, 2.5, 3.4]}, "target length list contains duplicates"),
+    ({"target_lengths_m": []}, "target length list must be nonempty"),
 ], ids=["nan", "infinity", "infinite-target", "string-temperature", "string-seed",
         "fractional-n-override", "huge-temperature", "huge-length", "n-override-beyond-bound",
-        "huge-length-with-n-override", "duplicate-target-length"])
+        "huge-length-with-n-override", "duplicate-target-length", "empty-target-lengths"])
 def test_run_config_bad_value_exit_2(tmp_path, capsys, overrides, reason):
     config_path = write_raw_config(tmp_path, **overrides)
     assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 2
     assert_one_error_line(capsys, reason)
     assert not (tmp_path / "raw-report.json").exists()
+
+
+@pytest.mark.parametrize("prefix", [b"", b'{"seeds": '], ids=["top-level", "key-value"])
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_deeply_nested_config_exit_2(tmp_path, capsys, monkeypatch, command, prefix):
+    (tmp_path / "deep.json").write_bytes(prefix + b"[" * 100_000)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", "deep.json"]) == 2
+    assert_one_error_line(capsys, "config is nested too deeply to parse")
+    assert list(tmp_path.iterdir()) == [tmp_path / "deep.json"]
 
 
 def test_run_config_repeated_key_exit_2(tmp_path, capsys):
@@ -706,3 +732,68 @@ def test_run_and_validate_series_tables_share_stats_cells(tmp_path, capsys):
         assert validate_row[1:4] == run_row[1:4] and validate_row[5:] == run_row[5:]
         assert run_row[4] in ("rejected", "retained")
         assert validate_row[4] == ("rejected" if run_row[4] == "rejected" else "not rejected")
+
+
+# sha256 of stdout per command; each command reads the files that
+# pinned_inputs writes into the working directory.
+STDOUT_PINS = {
+    "run-a-as-printed-table": (["run", "--fixture", "experiment-a", "--darl-mode", "as-printed"],
+        "44287318da960607064f646b2364e614af39f019ea04500b800048e62e709654"),
+    "run-a-span-table": (["run", "--fixture", "experiment-a", "--darl-mode", "span-over-phi-r2"],
+        "c49a8db76584dcca97b9aac6615ddc646aa138faffb7c7b9ee08f834d39a0370"),
+    "run-b-as-printed-table": (["run", "--fixture", "experiment-b", "--darl-mode", "as-printed"],
+        "efad7d8f7a81dbf6220aea23457ca9834ea0c42bcae039e2cc3657e54cc12fb0"),
+    "run-b-span-table": (["run", "--fixture", "experiment-b", "--darl-mode", "span-over-phi-r2"],
+        "baac17111d1b5783a04b9e91232661b263f4395883c96cbccaf5a1575a00abd5"),
+    "run-a-csv": (["run", "--fixture", "experiment-a", "--format", "csv"],
+        "6d08e4bbc479443cd98e39c9790ff494f839ef11783c6afeefe370e8ff4a38de"),
+    "run-a-n-override-2": (["run", "--fixture", "experiment-a", "--n-override", "2"],
+        "21ccbf68a5152f9a73759058081b60a704ed8d351f1bd6c3d0be729621b5e966"),
+    "run-config-reference-json": (["run", "--config", "custom.json", "--reference", "reference.csv",
+                                   "--format", "json"],
+        "02fa93deaa365cfb6767937f531dc894af807eaf74977e3dddd75ec96df16b72"),
+    "sweep-a-json": (["sweep", "--fixture", "experiment-a", "--format", "json"],
+        "ec58e9fccf4701792735c7629709d6200616845c6a36cc0a348bd5db10e745b0"),
+    "sweep-a-table": (["sweep", "--fixture", "experiment-a"],
+        "c41554f8f813398a7d342cbeb141c0dc1966a0b47834e9f0a3f17bd70bb07448"),
+    "sweep-b-json": (["sweep", "--fixture", "experiment-b", "--format", "json"],
+        "6889def3e96dc97d82d48858eed6a2b3fbde00bdee1c435e77aa8e61f5c79c27"),
+    "sweep-b-table": (["sweep", "--fixture", "experiment-b"],
+        "6c91a53d1cbe20a02e39898c8cdafc8ba10e229815394ef3862bcd8be5c122d9"),
+    "validate-a-json": (["validate", "--fixture", "experiment-a", "--format", "json"],
+        "46e397aab2956cbdaff30e83130032bf29f6f9e194030d43a11ebb769a45719e"),
+    "validate-a-table": (["validate", "--fixture", "experiment-a"],
+        "e3c459c1957722bf0252e8ad92113f358899bb0e9a65a1cfedef5c7f901179d0"),
+    "validate-b-json": (["validate", "--fixture", "experiment-b", "--format", "json"],
+        "e9f4b35e8ba526b6e61c06ae72ceebe6326854e155ec31831af25afa9e0116c3"),
+    "validate-b-table": (["validate", "--fixture", "experiment-b"],
+        "9f6cbf291c151ffda3abc774f1080a72dfd19a1769fbcc54d58fabe096e428b7"),
+    "validate-series-json": (["validate", "--series", "series.csv", "--format", "json"],
+        "15a3394bcc8fef452c7c6f9b45d85ed2e46e074b4c6ea9fe722dca925ffe3a19"),
+    "fixtures-json": (["fixtures", "--format", "json"],
+        "f59795a725259fb18c3ee0f2cfd956aecfb7566d8e6d9a8ef6ae1c68264b57da"),
+    "fixtures-table": (["fixtures"],
+        "c28a68596b0164d2c072daea0e84fe95d00768212d7269d77fd14dee11f9e6c7"),
+}
+GENERATED_CSV_SHA256 = "abb4ed42d9d7c44956e8b729fb660332a2b0509514d8b5da8d582285f6bb1e97"
+
+
+@pytest.fixture
+def pinned_inputs(tmp_path, capsys, monkeypatch):
+    write_config(tmp_path)
+    (tmp_path / "reference.csv").write_text("length_m,t_obs_c\n2.5,28.8\n3.4,27.37\n4.4,26.67\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--seed", "5", "--n", "538", "--min", "25.81", "--max", "31.01",
+                 "--out", "series.csv"]) == 0
+    capsys.readouterr()
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, digest", list(STDOUT_PINS.values()), ids=list(STDOUT_PINS))
+def test_stdout_matches_pinned_hash(pinned_inputs, capsys, argv, digest):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_generated_csv_matches_pinned_hash(pinned_inputs):
+    assert hashlib.sha256((pinned_inputs / "series.csv").read_bytes()).hexdigest() == GENERATED_CSV_SHA256

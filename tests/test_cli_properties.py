@@ -61,7 +61,7 @@ REPLACEMENTS["overflowing span"] = st.sampled_from((
     {"t_in_c": 1e308, "t_end_c": -1e308}, {"t_in_c": 1.7976931348623157e308, "t_end_c": -1e300}))
 REPLACEMENTS["length against n_override"] = st.sampled_from((
     {"total_length_m": 1e307, "n_override": 600}, {"total_length_m": 1e200, "n_override": 2},
-    {"total_length_m": 1e-310, "n_override": 600, "target_lengths_m": []}))
+    {"total_length_m": 1e-310, "n_override": 600, "target_lengths_m": [5e-311]}))
 replacement = st.sampled_from(sorted(REPLACEMENTS)).flatmap(REPLACEMENTS.__getitem__)
 
 

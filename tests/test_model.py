@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import darl.model
 from darl.errors import (
     DegenerateVariance,
     DivisionByZero,
@@ -146,6 +147,7 @@ def test_config_validation_accepts_fixture_shapes():
     {"total_length_m": 1e307, "n_override": 600},  # the grid would overflow
     {"total_length_m": 10_000.5, "n_override": 2},
     {"target_lengths_m": (2.5, 2.5, 3.4)},  # a repeated length would count twice
+    {"target_lengths_m": ()},
 ])
 def test_config_validation_rejections(overrides):
     with pytest.raises(ValidationError):
@@ -172,21 +174,32 @@ def test_sample_count_rule():
     assert config_a(n_override=538).sample_count() == 538
 
 
-def test_build_series_grid_and_pairing():
+def test_build_series_grid_and_pairing(monkeypatch):
     config = config_a()
-    grid, series = build_series(config, 5)
-    assert isinstance(series, np.ndarray)
-    assert len(grid) == len(series) == 540
+    series = build_series(config, 5)
+    assert isinstance(series, np.ndarray) and len(series) == 540
+    assert series.min() >= 25.81 and series.max() <= 31.01
+    assert len(build_series(config_a(n_override=538), 5)) == 538
+    # fit_seeds pairs every seed's series with one length grid over [0, L]
+    points = []
+
+    def recording_fit(xy):
+        points.append(xy)
+        return fit_ols(xy)
+
+    monkeypatch.setattr(darl.model, "fit_ols", recording_fit)
+    fits = fit_seeds(config)
+    grid = points[0][:, 0]
     assert grid[0] == 0.0
     assert abs(grid[-1] - 5.4) < 1e-12
     assert np.all(np.diff(grid) > 0.0)
-    assert series.min() >= 25.81 and series.max() <= 31.01
-    grid_538, series_538 = build_series(config_a(n_override=538), 5)
-    assert len(grid_538) == len(series_538) == 538
+    for sf, xy in zip(fits, points, strict=True):
+        assert np.array_equal(xy[:, 0], grid)
+        assert np.array_equal(xy[:, 1], build_series(config, sf.seed))
 
 
 def test_flat_series_degenerates_downstream():
-    grid, _ = build_series(config_a(), 5)
+    grid = np.arange(540) * 5.4 / 539
     series = uniform_series(5, 540, 25.0, 25.0)
     assert np.all(series == 25.0)
     with pytest.raises(DegenerateVariance):

@@ -173,8 +173,27 @@ def test_quartile_matches_numpy_type7():
 
 
 def test_sw_weights_cached_once_per_n_and_read_only():
-    first = _sw_weights(830)
-    assert _sw_weights(830) is first
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 0.0
+    for n in (3, 4, 5, 6, 829, 830):
+        first = _sw_weights(n)
+        assert _sw_weights(n) is first
+        weights, ssw = first
+        assert len(weights) == n
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        assert abs(weights.sum()) < 1e-12  # centered
+        assert np.allclose(weights, -weights[::-1], rtol=0.0, atol=1e-15)
+        assert ssw == float(np.dot(weights, weights))
+
+
+def test_sample_shaped_like_the_weights_gives_p_one():
+    # W rounds to 1 for many of these, where log(1 - W) is undefined
+    unit = 0
+    for n in range(4, 200):
+        for scale, shift in ((1.0, 0.0), (3.0, 27.0), (0.01, -5.0), (100.0, 1000.0)):
+            result = shapiro_wilk(_sw_weights(n)[0] * scale + shift)
+            assert 0.999 < result.w_statistic <= 1.0
+            if result.w_statistic == 1.0:
+                unit += 1
+                assert result.p_value == 1.0
+    assert unit > 0
