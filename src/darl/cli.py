@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import DarlError, NumericalDegeneracy, UnsupportedSampleSize, ValidationError
+from .errors import DarlError, NumericalDegeneracy, ParseError, UnsupportedSampleSize, ValidationError
 from .ingest import (
     FIXTURE_NAMES,
     Fixture,
@@ -36,7 +36,7 @@ from .model import (
     rank_seeds,
     run_configuration,
 )
-from .prng import uniform_series
+from .prng import MAX_SAMPLE_COUNT, uniform_series
 from .serialize import (
     render_json,
     render_plot_csv,
@@ -47,11 +47,23 @@ from .stats import ALPHA, quartile_summary, rmse, shapiro_wilk
 
 _ORDER_FLAGS = {"asc": "ascending", "desc": "descending"}
 
+#: Largest input file read, bytes: 32 per value of the longest series (generate writes at most 23).
+MAX_INPUT_BYTES = 32 * MAX_SAMPLE_COUNT
+
 
 def _ensure_out_dir(out_dir: str) -> Path:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _read_input(path: str) -> bytes:
+    """A config, series or reference file's bytes; an endless device such as /dev/zero ends too."""
+    with Path(path).open("rb") as handle:
+        data = handle.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ParseError(f"{path} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
+    return data
 
 
 def _parse_seeds(text: str, config_seeds: tuple[int, ...]) -> tuple[int, ...]:
@@ -74,10 +86,10 @@ def _resolve_inputs(args) -> tuple[str, ExperimentConfig, list[tuple[float, floa
         fixture = load_fixture(args.fixture)
         name, config, reference = fixture.name, fixture.config, list(fixture.reference)
     else:
-        fixture, path = None, Path(args.config)
-        name, config, reference = path.stem, load_config(path.read_bytes()), None
+        fixture = None
+        name, config, reference = Path(args.config).stem, load_config(_read_input(args.config)), None
         if reference_path is not None:
-            reference = load_reference_csv(Path(reference_path).read_bytes())
+            reference = load_reference_csv(_read_input(reference_path))
     changes = {}
     if getattr(args, "n_override", None) is not None:
         changes["n_override"] = args.n_override
@@ -137,35 +149,28 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
     pristine = fixture.config
     if replace(config, darl_mode=pristine.darl_mode) != pristine:
         fits = fit_seeds(pristine)
-    modes = sorted(DARL_MODES)
-    per_mode = {}
-    for mode in modes:
-        records = predict(replace(pristine, darl_mode=mode), fits)
-        comps = compare_with_reference(records, fixture.reference)
-        per_mode[mode] = {(c.seed, c.target_length_m): c for c in comps}
-    rows = []
-    matched = {mode: [] for mode in modes}
-    for pub in fixture.reported_rows:
-        computed = {}
-        for mode in modes:
-            comp = per_mode[mode][(pub.seed, pub.target_length_m)]
-            matched[mode].append(comp)
-            computed[mode] = {
-                "t_sim_c": comp.t_sim_c,
-                "delta_t_c": comp.delta_t_c,
-                "relative_error_pct": comp.relative_error_pct,
-            }
-        rows.append({
+    rows = [
+        {
             "target_length_m": pub.target_length_m,
             "seed": pub.seed,
             "reported_delta_t_c": pub.delta_t_c,
             "reported_relative_error_pct": pub.relative_error_pct,
-            "computed": computed,
-        })
-    rmse_block = {"reported_c": fixture.reported_rmse_c, "computed_c": {
-        mode: rmse([c.t_obs_c for c in pairs], [c.t_sim_c for c in pairs])
-        for mode, pairs in matched.items()
-    }}
+            "computed": {},
+        }
+        for pub in fixture.reported_rows
+    ]
+    computed_rmse = {}
+    for mode in sorted(DARL_MODES):
+        comps = compare_with_reference(predict(replace(pristine, darl_mode=mode), fits), fixture.reference)
+        by_row = {(c.seed, c.target_length_m): c for c in comps}
+        pairs = [by_row[row["seed"], row["target_length_m"]] for row in rows]
+        for row, c in zip(rows, pairs):
+            row["computed"][mode] = {
+                "t_sim_c": c.t_sim_c,
+                "delta_t_c": c.delta_t_c,
+                "relative_error_pct": c.relative_error_pct,
+            }
+        computed_rmse[mode] = rmse([c.t_obs_c for c in pairs], [c.t_sim_c for c in pairs])
     return {
         "note": (
             "Recorded, not asserted: the predictor evaluated as printed "
@@ -175,7 +180,7 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
             "reported beside the published ones for inspection."
         ),
         "published_protocol_rows": rows,
-        "rmse": rmse_block,
+        "rmse": {"reported_c": fixture.reported_rmse_c, "computed_c": computed_rmse},
     }
 
 
@@ -225,56 +230,33 @@ def _run_tables(report: dict) -> str:
         "predictions",
         render_table(
             ("seed", "length_m", "t_phi_c", "r_squared", "t_sim_c", "in_range"),
-            [
-                (
-                    p["seed"], p["target_length_m"], p["t_phi_c"], p["r_squared"],
-                    p["t_sim_c"], "no" if p["out_of_range"] else "yes",
-                )
-                for p in report["predictions"]
-            ],
+            [(*list(p.values())[:-1], "no" if p["out_of_range"] else "yes") for p in report["predictions"]],
         ),
     ]
     if "comparisons" in report:
         parts.append("comparisons")
         parts.append(render_table(
             ("seed", "length_m", "t_sim_c", "t_obs_c", "delta_t_c", "rel_err_pct"),
-            [
-                (
-                    c["seed"], c["target_length_m"], c["t_sim_c"], c["t_obs_c"],
-                    c["delta_t_c"], c["relative_error_pct"],
-                )
-                for c in report["comparisons"]
-            ],
+            [c.values() for c in report["comparisons"]],
         ))
         parts.append("rmse by seed")
-        parts.append(render_table(
-            ("seed", "rmse_c"),
-            [(str(k), v) for k, v in report["rmse_by_seed"].items()],
-        ))
+        parts.append(render_table(("seed", "rmse_c"), report["rmse_by_seed"].items()))
         parts.append(f"best seed: {report['best_seed']}")
     if "discrepancy_report" in report:
         block = report["discrepancy_report"]
-        modes = sorted(DARL_MODES)
         parts.append("")
         parts.append("published vs computed (published protocol rows)")
         headers = ["length_m", "seed", "rep_dT", "rep_err%"]
-        for mode in modes:
+        for mode in block["rmse"]["computed_c"]:
             headers.extend((f"{mode} dT", f"{mode} err%"))
         rows = []
         for row in block["published_protocol_rows"]:
-            cells = [
-                row["target_length_m"], row["seed"],
-                row["reported_delta_t_c"], row["reported_relative_error_pct"],
-            ]
-            for mode in modes:
-                cells.extend((row["computed"][mode]["delta_t_c"],
-                              row["computed"][mode]["relative_error_pct"]))
-            rows.append(tuple(cells))
-        parts.append(render_table(tuple(headers), rows))
+            *published, computed = row.values()
+            mode_cells = (v for c in computed.values() for v in (c["delta_t_c"], c["relative_error_pct"]))
+            rows.append((*published, *mode_cells))
+        parts.append(render_table(headers, rows))
         rmse_cells = [f"reported={block['rmse']['reported_c']:.4f}"]
-        rmse_cells.extend(
-            f"{mode}={block['rmse']['computed_c'][mode]:.4f}" for mode in modes
-        )
+        rmse_cells.extend(f"{mode}={v:.4f}" for mode, v in block["rmse"]["computed_c"].items())
         parts.append("rmse_c: " + "  ".join(rmse_cells))
         parts.append("note: " + block["note"])
     return "\n".join(parts) + "\n"
@@ -347,7 +329,7 @@ def cmd_sweep(args) -> int:
     else:
         table = render_table(
             ("seed", "mean_rel_err_pct", "rmse_c"),
-            [(str(r["seed"]), r["mean_relative_error_pct"], r["rmse_c"]) for r in doc["ranking"]],
+            [r.values() for r in doc["ranking"]],
         )
         sys.stdout.write(f"sweep: {name}  mode={config.darl_mode}\n{table}best seed: {best}\n")
     return 0
@@ -358,9 +340,8 @@ def cmd_validate(args) -> int:
     if args.series is not None:
         if args.n_override is not None:
             raise ValidationError("--n-override does not apply to a --series file")
-        path = Path(args.series)
-        values = load_series_csv(path.read_bytes())
-        source = path.name
+        values = load_series_csv(_read_input(args.series))
+        source = Path(args.series).name
         rows.append({"source": source, **_distribution_stats(values)})
     else:
         source, config, _, _ = _resolve_inputs(args)

@@ -74,7 +74,7 @@ def load_config(data: bytes) -> ExperimentConfig:
     """Parse an experiment config from JSON bytes; ExperimentConfig checks it."""
     try:
         doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also an integer literal beyond int's 4,300-digit parse limit
         raise ParseError(f"config is not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("config is nested too deeply to parse") from None

@@ -82,7 +82,7 @@ def render_plot_csv(rows: Iterable[tuple[float, float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def render_table(headers: Sequence[str], rows: Iterable[Iterable[object]]) -> str:
     """Aligned human-readable table: first column left, the rest right."""
     cells = [[str(h) for h in headers]]
     for row in rows:

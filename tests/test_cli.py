@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
 
 import pytest
 
+import darl.cli
 import darl.model
 from darl.cli import main
 from darl.ingest import config_to_mapping, load_config, load_fixture
@@ -468,6 +470,42 @@ def test_run_bad_reference_file_exit_2(tmp_path, capsys, cell, reason):
     assert_one_error_line(capsys, reason)
 
 
+INPUT_FILES = pytest.mark.parametrize("argv, path", [
+    (["run", "--config", "custom.json"], "custom.json"),
+    (["run", "--config", "custom.json", "--reference", "reference.csv"], "reference.csv"),
+    (["validate", "--series", "series.csv"], "series.csv"),
+], ids=["config", "reference", "series"])
+
+
+@INPUT_FILES
+def test_input_file_one_byte_over_the_size_limit_exit_2(tmp_path, capsys, monkeypatch, argv, path):
+    write_config(tmp_path)
+    (tmp_path / "reference.csv").write_text("length_m,t_obs_c\n2.5,28.8\n3.4,27.37\n4.4,26.67\n")
+    (tmp_path / "series.csv").write_text("Ordered_Value\n25.0\n26.5\n27.0\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(darl.cli, "MAX_INPUT_BYTES", 1000)
+    padded = tmp_path / path
+    padded.write_bytes(padded.read_bytes().ljust(1000, b"\n"))  # blank lines: the same document
+    assert main(argv) == 0
+    for report in tmp_path.glob("*-report.json"):
+        report.unlink()
+    capsys.readouterr()
+    padded.write_bytes(padded.read_bytes() + b"\n")
+    assert main(argv) == 2
+    assert_one_error_line(capsys, f"{path} is larger than the input limit of 1000 bytes")
+    assert not list(tmp_path.glob("*-report.json"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless /dev/zero device")
+@INPUT_FILES
+def test_endless_input_file_exit_2(tmp_path, capsys, monkeypatch, argv, path):
+    write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([arg if arg != path else "/dev/zero" for arg in argv]) == 2
+    assert_one_error_line(capsys, f"/dev/zero is larger than the input limit of {32 * MAX_SAMPLE_COUNT} bytes")
+    assert list(tmp_path.iterdir()) == [tmp_path / "custom.json"]
+
+
 @pytest.mark.parametrize("overrides", [{"seeds": "35"}, {"target_lengths_m": 1.0}])
 def test_run_config_list_keys_must_be_arrays_exit_2(tmp_path, capsys, overrides):
     config_path = write_raw_config(tmp_path, **overrides)
@@ -561,13 +599,17 @@ def test_run_config_bad_value_exit_2(tmp_path, capsys, overrides, reason):
     assert not (tmp_path / "raw-report.json").exists()
 
 
-@pytest.mark.parametrize("prefix", [b"", b'{"seeds": '], ids=["top-level", "key-value"])
+@pytest.mark.parametrize("document, reason", [
+    (b"[" * 100_000, "config is nested too deeply to parse"),
+    (b'{"seeds": ' + b"[" * 100_000, "config is nested too deeply to parse"),
+    (b'{"t_w_c": 2' + b"0" * 5_000 + b"}", "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["top-level", "key-value", "huge-integer"])
 @pytest.mark.parametrize("command", ["run", "sweep", "validate"])
-def test_deeply_nested_config_exit_2(tmp_path, capsys, monkeypatch, command, prefix):
-    (tmp_path / "deep.json").write_bytes(prefix + b"[" * 100_000)
+def test_deeply_nested_config_exit_2(tmp_path, capsys, monkeypatch, command, document, reason):
+    (tmp_path / "deep.json").write_bytes(document)
     monkeypatch.chdir(tmp_path)
     assert main([command, "--config", "deep.json"]) == 2
-    assert_one_error_line(capsys, "config is nested too deeply to parse")
+    assert_one_error_line(capsys, reason)
     assert list(tmp_path.iterdir()) == [tmp_path / "deep.json"]
 
 
@@ -774,6 +816,12 @@ STDOUT_PINS = {
         "f59795a725259fb18c3ee0f2cfd956aecfb7566d8e6d9a8ef6ae1c68264b57da"),
     "fixtures-table": (["fixtures"],
         "c28a68596b0164d2c072daea0e84fe95d00768212d7269d77fd14dee11f9e6c7"),
+    "run-config-table": (["run", "--config", "custom.json"],
+        "e0f395fffeac01db466fe2ad362bb9e4edbff5b908ec06741809468249443ade"),
+    "run-config-reference-table": (["run", "--config", "custom.json", "--reference", "reference.csv"],
+        "e67edb743698ea05c09a4dd3ebe671461f38d604c96892ae823c506620c52bdc"),
+    "validate-series-table": (["validate", "--series", "series.csv"],
+        "eb8e7cf4f05306f0be3f3c42d8aeaa407a274e5b2e06ba51ed7f3e46ce86d3fb"),
 }
 GENERATED_CSV_SHA256 = "abb4ed42d9d7c44956e8b729fb660332a2b0509514d8b5da8d582285f6bb1e97"
 
