@@ -58,12 +58,14 @@ def _ensure_out_dir(out_dir: str) -> Path:
 
 
 def _read_input(path: str) -> bytes:
-    """A config, series or reference file's bytes; an endless device such as /dev/zero ends too."""
+    """A file's bytes up to the cap, in 64 KiB reads (read(n) allocates n bytes); /dev/zero ends too."""
+    data = bytearray()
     with Path(path).open("rb") as handle:
-        data = handle.read(MAX_INPUT_BYTES + 1)
+        while len(data) <= MAX_INPUT_BYTES and (chunk := handle.read(1 << 16)):
+            data += chunk
     if len(data) > MAX_INPUT_BYTES:
         raise ParseError(f"{path} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
-    return data
+    return bytes(data)
 
 
 def _parse_seeds(text: str, config_seeds: tuple[int, ...]) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -112,8 +112,7 @@ def load_fixture(name: str) -> Fixture:
     if name not in FIXTURE_NAMES:
         known = ", ".join(FIXTURE_NAMES)
         raise UnknownFixture(f"unknown fixture {name!r} (built-ins: {known})")
-    data = resources.files("darl").joinpath(f"fixtures/v1/{name}.json").read_bytes()
-    doc = json.loads(data.decode("utf-8"))
+    doc = json.loads((Path(__file__).parent / "fixtures" / "v1" / f"{name}.json").read_bytes())
     config = _config_from_mapping(doc["config"])
     reference = tuple((float(x), float(t)) for x, t in doc["reference"])
     rows = tuple(

@@ -180,7 +180,8 @@ class ExperimentConfig:
             raise ValidationError("t_w_uncertainty_c must be nonnegative")
         if self.n_override is not None and self.n_override < 2:
             raise ValidationError(f"n_override must be at least 2, got {self.n_override}")
-        self.sample_count()  # raises beyond MAX_SAMPLE_COUNT
+        if self.sample_count() < 2:  # sample_count raises beyond MAX_SAMPLE_COUNT
+            raise ValidationError(f"total_length_m {self.total_length_m} gives fewer than 2 samples")
         if self.total_length_m > MAX_TOTAL_LENGTH_M:  # an n_override bounds n, not the grid
             raise ValidationError(
                 f"total_length_m {self.total_length_m} exceeds the maximum of {MAX_TOTAL_LENGTH_M:g} m")

@@ -109,10 +109,10 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
     log-normal approximation to 1 - W. Raises UnsupportedSampleSize outside
     the supported range and DegenerateVariance for constant input.
     """
-    x = np.sort(np.asarray(values, dtype=float))
-    n = len(x)
+    n = len(values)
     if n < _MIN_N or n > _MAX_N:
         raise UnsupportedSampleSize(f"sample size {n} outside supported range [{_MIN_N}, {_MAX_N}]")
+    x = np.sort(np.asarray(values, dtype=float))
     if x[-1] - x[0] < 1e-19:
         raise DegenerateVariance("sample has zero range")
 
@@ -129,24 +129,20 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
         pi6 = 6.0 / math.pi
         stqr = math.asin(math.sqrt(0.75))
         p = pi6 * (math.asin(math.sqrt(w)) - stqr)
-        p = min(1.0, max(0.0, p))
-        return NormalityResult(w_statistic=w, p_value=p, n=n)
-
-    if w1 <= 0.0:  # W rounds to 1: the p-value's limit as 1 - W -> 0
-        return NormalityResult(w_statistic=w, p_value=1.0, n=n)
-    y = math.log(w1)
-    if n <= 11:
-        gamma = _poly(_G, n)
-        if y >= gamma:
-            return NormalityResult(w_statistic=w, p_value=0.0, n=n)
-        y = -math.log(gamma - y)
-        mu = _poly(_C3, n)
-        sigma = math.exp(_poly(_C4, n))
+    elif w1 <= 0.0:  # W rounds to 1: the p-value's limit as 1 - W -> 0
+        p = 1.0
     else:
-        log_n = math.log(n)
-        mu = _poly(_C5, log_n)
-        sigma = math.exp(_poly(_C6, log_n))
-    p = 1.0 - _NORMAL.cdf((y - mu) / sigma)
+        y = math.log(w1)
+        if n <= 11:
+            # y < gamma: gamma > 0 from n = 5; at n = 4, W >= 4*a1^2/3 = 0.6298 puts y below -0.99
+            y = -math.log(_poly(_G, n) - y)
+            mu = _poly(_C3, n)
+            sigma = math.exp(_poly(_C4, n))
+        else:
+            log_n = math.log(n)
+            mu = _poly(_C5, log_n)
+            sigma = math.exp(_poly(_C6, log_n))
+        p = 1.0 - _NORMAL.cdf((y - mu) / sigma)
     return NormalityResult(w_statistic=w, p_value=min(1.0, max(0.0, p)), n=n)
 
 
@@ -175,20 +171,21 @@ def relative_error(observed: float, simulated: float) -> float:
     return error
 
 
-def _quantile_type7(sorted_values: Sequence[float], p: float) -> float:
-    # position h = (n-1)p on the sorted sample, linear interpolation
+def _quantile_type7(sorted_values: np.ndarray, p: float) -> float:
+    # position h = (n-1)p on the sorted sample, linear interpolation in Python floats
     h = (len(sorted_values) - 1) * p
     lo = math.floor(h)
     frac = h - lo
+    below = float(sorted_values[lo])
     if frac == 0.0:
-        return float(sorted_values[lo])
-    return float(sorted_values[lo] + frac * (sorted_values[lo + 1] - sorted_values[lo]))
+        return below
+    return below + frac * (float(sorted_values[lo + 1]) - below)
 
 
 def quartile_summary(values: Sequence[float]) -> QuartileSummary:
     """Quartiles by linear interpolation (the common "type 7" convention)."""
-    data = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
-    if not data:
+    data = np.sort(np.asarray(values, dtype=float), kind="stable")
+    if not data.size:
         raise InsufficientSamples("quartiles of an empty sample are undefined")
     q1 = _quantile_type7(data, 0.25)
     q2 = _quantile_type7(data, 0.50)

@@ -6,8 +6,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import darl.cli
@@ -421,6 +424,19 @@ def test_cli_import_loads_no_unneeded_modules():
     assert probe.stdout == "[]\n"
 
 
+def test_cli_import_without_site_loads_no_resource_machinery():
+    # run without site, whose .pth hooks may load importlib.resources themselves
+    paths = (Path(darl.__file__).parents[1], Path(np.__file__).parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import darl.cli, sys; print(sorted({'importlib.resources', 'tempfile'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))},
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "[]\n"
+
+
 def test_subprocess_usage_error_exit_2():
     result = subprocess.run(
         [sys.executable, "-m", "darl", "run"],
@@ -494,6 +510,18 @@ def test_input_file_one_byte_over_the_size_limit_exit_2(tmp_path, capsys, monkey
     assert main(argv) == 2
     assert_one_error_line(capsys, f"{path} is larger than the input limit of 1000 bytes")
     assert not list(tmp_path.glob("*-report.json"))
+
+
+def test_reading_a_small_input_allocates_far_less_than_the_size_limit(tmp_path):
+    config_path = write_config(tmp_path)
+    tracemalloc.start()
+    try:
+        data = darl.cli._read_input(str(config_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == config_path.read_bytes()
+    assert peak < darl.cli.MAX_INPUT_BYTES / 100
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless /dev/zero device")
@@ -589,9 +617,11 @@ def test_run_override_keeps_pristine_discrepancy_report(tmp_path, capsys, fixtur
     ({"total_length_m": 1e307, "n_override": 600}, "total_length_m 1e+307 exceeds the maximum of 10000 m"),
     ({"target_lengths_m": [2.5, 2.5, 3.4]}, "target length list contains duplicates"),
     ({"target_lengths_m": []}, "target length list must be nonempty"),
+    ({"total_length_m": 0.01171875, "target_lengths_m": [5e-311]}, "gives fewer than 2 samples"),
 ], ids=["nan", "infinity", "infinite-target", "string-temperature", "string-seed",
         "fractional-n-override", "huge-temperature", "huge-length", "n-override-beyond-bound",
-        "huge-length-with-n-override", "duplicate-target-length", "empty-target-lengths"])
+        "huge-length-with-n-override", "duplicate-target-length", "empty-target-lengths",
+        "one-sample-pipe"])
 def test_run_config_bad_value_exit_2(tmp_path, capsys, overrides, reason):
     config_path = write_raw_config(tmp_path, **overrides)
     assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 2
@@ -603,7 +633,10 @@ def test_run_config_bad_value_exit_2(tmp_path, capsys, overrides, reason):
     (b"[" * 100_000, "config is nested too deeply to parse"),
     (b'{"seeds": ' + b"[" * 100_000, "config is nested too deeply to parse"),
     (b'{"t_w_c": 2' + b"0" * 5_000 + b"}", "Exceeds the limit (4300 digits) for integer string conversion"),
-], ids=["top-level", "key-value", "huge-integer"])
+    (b"[]", "config document must be an object, got list"),
+    (b"3", "config document must be an object, got int"),
+    (b'"x"', "config document must be an object, got str"),
+], ids=["top-level", "key-value", "huge-integer", "array", "number", "string"])
 @pytest.mark.parametrize("command", ["run", "sweep", "validate"])
 def test_deeply_nested_config_exit_2(tmp_path, capsys, monkeypatch, command, document, reason):
     (tmp_path / "deep.json").write_bytes(document)
@@ -645,6 +678,18 @@ def test_run_underflowing_length_spread_exit_4(tmp_path, capsys):
                                    n_override=600)
     assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 4
     assert_one_error_line(capsys, "the spread of x underflows to zero")
+
+
+@pytest.mark.parametrize("row, count", [("2.5", 1), ("2.5,28.8,1", 3)])
+def test_run_reference_row_with_wrong_cell_count_exit_2(tmp_path, capsys, row, count):
+    config_path = write_config(tmp_path)
+    reference = tmp_path / "reference.csv"
+    reference.write_text(f"length_m,t_obs_c\n{row}\n3.4,27.37\n4.4,26.67\n")
+    rc = main(["run", "--config", str(config_path), "--reference", str(reference),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert_one_error_line(capsys, f"row 1: expected 2 cells, got {count}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_duplicate_reference_length_exit_2(tmp_path, capsys):

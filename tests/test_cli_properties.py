@@ -11,6 +11,12 @@ bound, finite temperatures whose span overflows, pipes too long or too short
 for an ``n_override`` grid. It may also drop a key, or set one to a value of
 any JSON type, or add an unknown key. Valid lengths stay short so that each
 example runs in milliseconds.
+
+A fourth property runs ``darl run`` on the same documents with a reference
+and a small ``--n-override``; where it exits 0, the report must agree with
+oracles that share no code with the pipeline past the series draw: the
+exact-rational OLS fit, ``scipy.stats.shapiro``, ``numpy.percentile`` and a
+numpy RMSE and mean relative error per seed.
 """
 
 import contextlib
@@ -20,12 +26,16 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darl.cli import main
-from darl.model import ExperimentConfig
+from darl.model import ExperimentConfig, build_series
 from darl.prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT
+
+from test_regression import ols_fraction_oracle
 
 BASE = {
     "t_in_c": 31.01, "t_end_c": 25.81, "t_w_c": 24.28, "t_w_uncertainty_c": 0.09,
@@ -127,3 +137,62 @@ def test_validate_any_series_exits_0_2_3_or_4(data):
         series = Path(tmp) / "series.csv"
         series.write_bytes(data)
         assert_exit_contract(["validate", "--series", str(series), "--format", "json"])
+
+
+def check_report_against_oracles(report, doc, reference, n):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    config = ExperimentConfig(**{**doc, "n_override": n})
+    scale = max(1.0, abs(config.t_in_c), abs(config.t_end_c))
+    grid = [i * config.total_length_m / (n - 1) for i in range(n)]
+    series = {seed: build_series(config, seed) for seed in config.seeds}
+
+    # the fit: t_phi within 1e-9 (relative to the temperatures) of the exact-rational OLS line
+    lines = {seed: ols_fraction_oracle(list(zip(grid, values.tolist()))) for seed, values in series.items()}
+    for pred in report["predictions"]:
+        alpha, beta, _ = lines[pred["seed"]]
+        assert abs(pred["t_phi_c"] - (alpha + beta * pred["target_length_m"])) <= 1e-9 * scale, pred
+
+    # Shapiro-Wilk within 1e-3 of scipy; quartiles within the report's 15 significant digits
+    for row in report["series"]:
+        values = series[row["seed"]]
+        assert row["n"] == n
+        if 3 <= n <= 5000:
+            ref = scipy_stats.shapiro(values)
+            assert abs(row["w_statistic"] - ref.statistic) < 1e-3
+            assert abs(row["p_value"] - ref.pvalue) < 1e-3
+        else:
+            assert row["w_statistic"] is None and row["p_value"] is None
+        quartiles = np.percentile(values, [25, 50, 75], method="linear")
+        digits = 1e-14 * float(np.max(np.abs(values)))
+        for key, want in zip(("q1", "median", "q3"), quartiles):
+            assert abs(row[key] - want) <= digits, (key, row[key], want)
+
+    # RMSE and mean relative error per seed, from the report's t_sim and the reference file
+    t_obs = dict(tuple(map(float, line.split(","))) for line in reference.decode().splitlines()[1:])
+    by_seed = {}
+    for pred in report["predictions"]:
+        by_seed.setdefault(pred["seed"], []).append((t_obs[pred["target_length_m"]], pred["t_sim_c"]))
+    errors, slack = {}, 0.0
+    for seed, pairs in by_seed.items():
+        obs, sim = np.array(pairs).T
+        want = float(np.sqrt(np.mean((obs - sim) ** 2)))
+        rounding = 1e-14 * float(np.max(np.abs(sim)))  # t_sim as rendered at 15 digits
+        assert abs(report["rmse_by_seed"][str(seed)] - want) <= 1e-12 * want + rounding
+        errors[seed] = float(np.mean(100.0 * np.abs(obs - sim) / np.abs(obs)))
+        slack = max(slack, 1e-12 * errors[seed] + 100.0 * float(np.max(rounding / np.abs(obs))))
+    assert sorted(report["rmse_by_seed"]) == sorted(map(str, by_seed))
+    best = min(errors, key=lambda seed: (errors[seed], seed))
+    # the least mean relative error, ties to the smaller seed, up to the rounding of t_sim
+    assert report["best_seed"] == best or errors[report["best_seed"]] - errors[best] <= 2.0 * slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=config_docs(), reference=reference_rows, n=st.integers(2, 100))
+def test_run_report_agrees_with_independent_oracles(doc, reference, n):
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["run", *write_inputs(Path(tmp), doc, reference), "--n-override", str(n)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    if rc == 0:
+        check_report_against_oracles(json.loads(out.getvalue()), doc, reference, n)

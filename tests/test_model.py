@@ -74,6 +74,11 @@ def test_predictor_singularity():
         darl_temperature(31.01, 25.81, 24.28, 24.28, 0.95)
 
 
+def test_variant_predictor_singularity():
+    with pytest.raises(Singularity, match="t_phi \\* r_squared vanishes"):
+        darl_temperature(31.01, 25.81, 24.28, 0.0, 0.95, mode=SPAN_OVER_PHI_R2)
+
+
 def test_predictor_invalid_coefficient():
     with pytest.raises(InvalidCoefficient):
         darl_temperature(31.01, 25.81, 24.28, 28.0, 0.0)

@@ -38,6 +38,11 @@ def test_out_of_range_seed_rejected(bad):
         MersenneTwister(bad)
 
 
+def test_empty_seeding_key_rejected():
+    with pytest.raises(ValidationError, match="seeding key must be nonempty"):
+        MersenneTwister.from_key(())
+
+
 @pytest.mark.parametrize("edge", [0, 2**32 - 1])
 def test_edge_seeds_accepted(edge):
     MersenneTwister(edge).getrandbits(32)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from darl.errors import (
     UnsupportedSampleSize,
 )
 from darl.prng import KNOWN_FERMAT_PRIMES, MersenneTwister, uniform_series
-from darl.stats import _sw_weights, quartile_summary, relative_error, rmse, shapiro_wilk
+from darl.stats import _G, _poly, _sw_weights, quartile_summary, relative_error, rmse, shapiro_wilk
 
 from golden_data import SW_FIXTURE, SW_FIXTURE_P, SW_FIXTURE_W
 
@@ -57,6 +58,38 @@ def test_shapiro_wilk_sample_size_limits():
         shapiro_wilk(np.linspace(0.0, 1.0, 5001))
     shapiro_wilk([0.4, 1.3, 0.9])
     shapiro_wilk(np.linspace(0.0, 1.0, 5000))
+
+
+class SizedOnly:
+    """A sample with a length but no values: converting or sorting it fails."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, index):
+        raise AssertionError("the sample was read")
+
+
+@pytest.mark.parametrize("n", [0, 2, 5001, 10**6])
+def test_shapiro_wilk_checks_the_size_before_reading_the_sample(n):
+    with pytest.raises(UnsupportedSampleSize, match=f"sample size {n} outside"):
+        shapiro_wilk(SizedOnly(n))
+
+
+def test_log_one_minus_w_stays_below_gamma_for_small_n():
+    # n-1 equal values and one outlier give the least W of any sample, n*a1^2/(n-1);
+    # log(1 - W) below gamma(n) there means the p-value never needs a gamma cutoff
+    rng = random.Random(4)
+    for n in range(4, 12):
+        least = shapiro_wilk([0.0] * (n - 1) + [1.0]).w_statistic
+        assert math.log(1.0 - least) < _poly(_G, n)
+        for _ in range(200):
+            sample = [rng.choice((0.0, 1.0, rng.expovariate(0.1))) for _ in range(n)]
+            if max(sample) > min(sample):
+                assert shapiro_wilk(sample).w_statistic >= least - 1e-12
 
 
 def test_shapiro_wilk_constant_sample():
@@ -170,6 +203,18 @@ def test_quartile_matches_numpy_type7():
         assert abs(q.q1 - ref[0]) < 1e-12
         assert abs(q.q2 - ref[1]) < 1e-12
         assert abs(q.q3 - ref[2]) < 1e-12
+
+
+def test_quartile_summary_allocates_one_sorted_copy():
+    # a Python list of the sample would take more than four times the array's bytes
+    sample = np.random.default_rng(5).normal(size=200_000)
+    tracemalloc.start()
+    try:
+        quartile_summary(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sample.nbytes
 
 
 def test_sw_weights_cached_once_per_n_and_read_only():
