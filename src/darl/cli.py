@@ -19,7 +19,6 @@ from .errors import DarlError, NumericalDegeneracy, ParseError, UnsupportedSampl
 from .ingest import (
     FIXTURE_NAMES,
     Fixture,
-    config_to_mapping,
     load_config,
     load_fixture,
     load_reference_csv,
@@ -199,7 +198,7 @@ def _build_report(
         "version": __version__,
         "source": name,
         "kind": "fixture" if fixture is not None else "config",
-        "config": config_to_mapping(config),
+        "config": vars(config),
         "sample_count": config.sample_count(),
         "series": [
             {"seed": sf.seed, **_distribution_stats(sf.values, strict=False)}
@@ -373,7 +372,7 @@ def cmd_fixtures(args) -> int:
         fixture = load_fixture(name)
         entries.append({
             "name": name,
-            **config_to_mapping(fixture.config),
+            **vars(fixture.config),
             "sample_count": fixture.config.sample_count(),
             "reference_points": len(fixture.reference),
             "reported_rmse_c": fixture.reported_rmse_c,

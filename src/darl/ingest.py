@@ -81,11 +81,6 @@ def load_config(data: bytes) -> ExperimentConfig:
     return _config_from_mapping(doc)
 
 
-def config_to_mapping(config: ExperimentConfig) -> dict:
-    """Flat schema-keyed mapping for serialization; inverse of load_config."""
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(config).items()}
-
-
 @dataclass(frozen=True)
 class ReportedRow:
     """One published comparison row: seed, |ΔT| and relative error at a length."""

@@ -7,8 +7,8 @@ never used for persisted output.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 FLOAT_DIGITS = 15
@@ -22,7 +22,7 @@ def format_float(value: float) -> str:
     return format(value, f".{FLOAT_DIGITS}g")
 
 
-def _scalar(obj) -> str | None:
+def _render(obj, level: int) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -32,33 +32,25 @@ def _scalar(obj) -> str | None:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
-    return None
-
-
-def _render(obj, level: int) -> str:
-    atom = _scalar(obj)
-    if atom is not None:
-        return atom
-    pad = "  " * (level + 1)
-    close = "  " * level
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         parts = []
         for key, value in obj.items():
             if not isinstance(key, (str, int)):
                 raise TypeError(f"JSON keys must be str or int, got {type(key).__name__}")
-            parts.append(f"{pad}{json.dumps(str(key))}: {_render(value, level + 1)}")
-        return "{\n" + ",\n".join(parts) + f"\n{close}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        atoms = [_scalar(item) for item in obj]
-        if all(a is not None for a in atoms):
-            return "[" + ", ".join(atoms) + "]"
-        return "[\n" + ",\n".join(pad + _render(item, level + 1) for item in obj) + f"\n{close}]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            parts.append(f"{encode_basestring_ascii(str(key))}: {_render(value, level + 1)}")
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        if all(item is None or isinstance(item, (int, float, str)) for item in obj):
+            return "[" + ", ".join(_render(item, level) for item in obj) + "]"
+        parts = [_render(item, level + 1) for item in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not parts:
+        return brackets
+    pad = "  " * (level + 1)
+    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(parts) + f"\n{'  ' * level}{brackets[1]}"
 
 
 def render_json(obj) -> str:

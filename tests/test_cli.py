@@ -16,7 +16,7 @@ import pytest
 import darl.cli
 import darl.model
 from darl.cli import main
-from darl.ingest import config_to_mapping, load_config, load_fixture
+from darl.ingest import load_config, load_fixture
 from darl.model import ExperimentConfig, run_configuration
 from darl.prng import MAX_SAMPLE_COUNT, MersenneTwister
 from darl.serialize import render_series_csv
@@ -30,7 +30,7 @@ def write_config(tmp_path, name="custom", **overrides):
     )
     base.update(overrides)
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(config_to_mapping(ExperimentConfig(**base))))
+    path.write_text(json.dumps(vars(ExperimentConfig(**base))))
     return path
 
 
@@ -265,7 +265,7 @@ def test_sweep_constructed_winner(tmp_path, capsys):
     seed_5 = {r.target_length_m: r.t_sim_c for r in run_configuration(config)
               if r.seed == 5}
     config_path = tmp_path / "constructed.json"
-    config_path.write_text(json.dumps(config_to_mapping(config)))
+    config_path.write_text(json.dumps(vars(config)))
     reference = tmp_path / "reference.csv"
     reference.write_text(
         "length_m,t_obs_c\n"
@@ -377,7 +377,7 @@ def test_fixtures_listing(capsys):
     assert doc["fixtures"][0]["sample_count"] == 540
     assert doc["fixtures"][1]["sample_count"] == 830
     for entry in doc["fixtures"]:
-        echo = config_to_mapping(load_fixture(entry["name"]).config)
+        echo = json.loads(json.dumps(vars(load_fixture(entry["name"]).config)))
         assert list(entry) == ["name", *echo, "sample_count", "reference_points", "reported_rmse_c"]
         assert {key: entry[key] for key in echo} == echo
 

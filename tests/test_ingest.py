@@ -15,7 +15,6 @@ from darl.errors import (
 from darl.ingest import (
     _CONFIG_REQUIRED,
     FIXTURE_NAMES,
-    config_to_mapping,
     load_config,
     load_fixture,
     load_reference_csv,
@@ -88,7 +87,7 @@ def test_config_round_trip():
         load_config(config_doc(seeds=[5, 17], darl_mode="span-over-phi-r2")),
     ]
     for config in cases:
-        assert load_config(json.dumps(config_to_mapping(config)).encode()) == config
+        assert load_config(json.dumps(vars(config)).encode()) == config
 
 
 def test_config_schema_declared_once():
@@ -99,7 +98,7 @@ def test_config_schema_declared_once():
             load_config(config_doc(**{f.name: "x" if f.type != "str" else 1}))
     assert _CONFIG_REQUIRED == ("t_in_c", "t_end_c", "t_w_c", "total_length_m", "target_lengths_m")
     config = load_config(config_doc(n_override=538))
-    dumped = json.dumps(config_to_mapping(config)).encode()
+    dumped = json.dumps(vars(config)).encode()
     assert list(json.loads(dumped)) == names
     assert load_config(dumped) == config
 
@@ -112,7 +111,7 @@ def test_round_trip_defaults_applied():
     config = load_config(json.dumps(doc).encode())
     assert config.seeds == (3, 5, 17, 257, 65537)
     assert config.sort_order == "descending"
-    assert load_config(json.dumps(config_to_mapping(config)).encode()) == config
+    assert load_config(json.dumps(vars(config)).encode()) == config
 
 
 def test_load_fixture_experiment_a():
