@@ -50,9 +50,10 @@ _ORDER_FLAGS = {"asc": "ascending", "desc": "descending"}
 MAX_INPUT_BYTES = 32 * MAX_SAMPLE_COUNT
 
 
-def _ensure_out_dir(out_dir: str) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+def _write_artifact(out_dir: str, filename: str, text: str) -> Path:
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    path = Path(out_dir, filename)
+    path.write_bytes(text.encode("utf-8"))
     return path
 
 
@@ -269,9 +270,9 @@ def cmd_generate(args) -> int:
     text = render_series_csv(values)
     if args.out is not None:
         path = Path(args.out)
+        path.write_bytes(text.encode("utf-8"))
     else:
-        path = _ensure_out_dir(args.out_dir) / f"series-seed{args.seed}-n{args.n}-{args.order}.csv"
-    path.write_bytes(text.encode("utf-8"))
+        path = _write_artifact(args.out_dir, f"series-seed{args.seed}-n{args.n}-{args.order}.csv", text)
     print(f"wrote {path} ({len(values)} values, {order})")
     return 0
 
@@ -281,8 +282,7 @@ def cmd_run(args) -> int:
     name, config, reference, fixture = _resolve_inputs(args)
     report = _build_report(name, config, reference, fixture)
     json_text = render_json(report) + "\n"
-    out_dir = _ensure_out_dir(args.out_dir)
-    (out_dir / f"{name}-report.json").write_bytes(json_text.encode("utf-8"))
+    _write_artifact(args.out_dir, f"{name}-report.json", json_text)
     # the best seed's rows; without a reference, the header alone
     comparisons = report.get("comparisons", [])
     plot_text = render_plot_csv(sorted(
@@ -290,7 +290,7 @@ def cmd_run(args) -> int:
         for c in comparisons if c["seed"] == report["best_seed"]
     ))
     if comparisons:
-        (out_dir / f"{name}-plot.csv").write_bytes(plot_text.encode("utf-8"))
+        _write_artifact(args.out_dir, f"{name}-plot.csv", plot_text)
     if args.format == "json":
         sys.stdout.write(json_text)
     elif args.format == "csv":
@@ -323,8 +323,7 @@ def cmd_sweep(args) -> int:
         "best_seed": best,
     }
     json_text = render_json(doc) + "\n"
-    out_dir = _ensure_out_dir(args.out_dir)
-    (out_dir / f"{name}-sweep.json").write_bytes(json_text.encode("utf-8"))
+    _write_artifact(args.out_dir, f"{name}-sweep.json", json_text)
     if args.format == "json":
         sys.stdout.write(json_text)
     else:
@@ -470,15 +469,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalDegeneracy as exc:
+    except (DarlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DarlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, NumericalDegeneracy):  # a DarlError, so tested first
+            return 4
+        return 2 if isinstance(exc, DarlError) else 3
 
 
 def entry() -> None:

@@ -78,6 +78,20 @@ def test_generate_unwritable_path_exit_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--fixture", "experiment-a"],
+    ["sweep", "--fixture", "experiment-a"],
+    ["generate", "--seed", "3", "--n", "10", "--min", "0", "--max", "1"],
+], ids=["run", "sweep", "generate"])
+def test_out_dir_that_is_a_file_exit_3(tmp_path, capsys, argv):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"kept")
+    assert main(argv + ["--out-dir", str(blocker)]) == 3
+    assert_one_error_line(capsys, str(blocker))
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_bytes() == b"kept"
+
+
 def test_run_fixture_seed_filter(tmp_path, capsys):
     rc = main(["run", "--fixture", "experiment-a", "--seeds", "5",
                "--out-dir", str(tmp_path), "--format", "json"])
