@@ -51,7 +51,10 @@ MAX_INPUT_BYTES = 32 * MAX_SAMPLE_COUNT
 
 
 def _write_artifact(out_dir: str, filename: str, text: str) -> Path:
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise NotADirectoryError(f"--out-dir {out_dir} is not a directory") from None
     path = Path(out_dir, filename)
     path.write_bytes(text.encode("utf-8"))
     return path

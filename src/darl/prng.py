@@ -17,7 +17,6 @@ runs the reference init-by-array recurrence over the key as given.
 from __future__ import annotations
 
 import random
-from array import array
 from functools import lru_cache
 from typing import Sequence
 
@@ -74,19 +73,18 @@ def _init_state_by_key(key: Sequence[int]) -> list[int]:
     return mt
 
 
-# Seeding is a pure function of the seed (or key), and experiment runs construct
-# generators for the same handful of seeds over and over; memoise the seeded
-# state. A packed word array keeps each entry at 2.5 KiB, a tenth of a tuple
-# of Python ints.
+# Seeding is a pure function of the seed (or key): memoise the setstate argument,
+# about 24 KiB an entry. A config admits only the five Fermat primes, and a key
+# seeds only acceptance criterion 1's golden vector; each memo is sized to that.
 
-@lru_cache(maxsize=128)
-def _seeded_state(seed: int) -> array:
-    return array("I", _init_state(seed))
+@lru_cache(maxsize=8)
+def _seeded_state(seed: int) -> tuple:
+    return (3, (*_init_state(seed), _N), None)
 
 
-@lru_cache(maxsize=32)
-def _key_seeded_state(key: tuple[int, ...]) -> array:
-    return array("I", _init_state_by_key(key))
+@lru_cache(maxsize=4)
+def _key_seeded_state(key: tuple[int, ...]) -> tuple:
+    return (3, (*_init_state_by_key(key), _N), None)
 
 
 class MersenneTwister(random.Random):
@@ -100,10 +98,7 @@ class MersenneTwister(random.Random):
         seed = int(seed)
         if not 0 <= seed <= _WORD_MASK:
             raise ValidationError(f"seed must be an unsigned 32-bit integer, got {seed}")
-        self._load(_seeded_state(seed))
-
-    def _load(self, words: Sequence[int]) -> None:
-        self.setstate((3, (*words, _N), None))
+        self.setstate(_seeded_state(seed))
 
     @classmethod
     def from_key(cls, key: Sequence[int]) -> "MersenneTwister":
@@ -111,7 +106,7 @@ class MersenneTwister(random.Random):
         if not key:
             raise ValidationError("seeding key must be nonempty")
         gen = cls.__new__(cls)
-        gen._load(_key_seeded_state(tuple(int(k) & _WORD_MASK for k in key)))
+        gen.setstate(_key_seeded_state(tuple(int(k) & _WORD_MASK for k in key)))
         return gen
 
     def draw_words(self, count: int) -> np.ndarray:

@@ -86,8 +86,10 @@ def test_generate_unwritable_path_exit_3(tmp_path):
 def test_out_dir_that_is_a_file_exit_3(tmp_path, capsys, argv):
     blocker = tmp_path / "blocker"
     blocker.write_bytes(b"kept")
-    assert main(argv + ["--out-dir", str(blocker)]) == 3
-    assert_one_error_line(capsys, str(blocker))
+    # mkdir raises FileExistsError for the file itself, NotADirectoryError below it
+    for out_dir in (blocker, blocker / "sub"):
+        assert main(argv + ["--out-dir", str(out_dir)]) == 3
+        assert_one_error_line(capsys, f"--out-dir {out_dir} is not a directory")
     assert list(tmp_path.iterdir()) == [blocker]
     assert blocker.read_bytes() == b"kept"
 
@@ -428,10 +430,10 @@ def test_entry_point_subprocess(tmp_path):
 
 
 def test_cli_import_loads_no_unneeded_modules():
-    # nothing logs, and the draws use random.Random, not numpy.random
+    # nothing logs, the draws use random.Random, not numpy.random, and seeding packs no array
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import darl.cli, sys; print(sorted({'logging', 'numpy.random'} & set(sys.modules)))"],
+         "import darl.cli, sys; print(sorted({'array', 'logging', 'numpy.random'} & set(sys.modules)))"],
         capture_output=True, text=True, timeout=60,
     )
     assert probe.returncode == 0, probe.stderr

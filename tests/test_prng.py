@@ -2,10 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from darl import prng
 from darl.errors import InsufficientSamples, InvalidBounds, ValidationError
 from darl.prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, MersenneTwister, uniform_series
 
@@ -41,6 +43,19 @@ def test_out_of_range_seed_rejected(bad):
 def test_empty_seeding_key_rejected():
     with pytest.raises(ValidationError, match="seeding key must be nonempty"):
         MersenneTwister.from_key(())
+
+
+def test_seeded_state_memo_memory_is_bounded():
+    # each memo entry is a 625-int setstate tuple, about 24 KiB; 200 fresh seeds must not all stay
+    prng._seeded_state.cache_clear()
+    tracemalloc.start()
+    try:
+        for seed in range(10_000, 10_200):
+            MersenneTwister(seed)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024, retained
 
 
 @pytest.mark.parametrize("edge", [0, 2**32 - 1])
