@@ -1,13 +1,13 @@
 """Ordinary least squares of temperature against pipe length.
 
 The fit is the plain closed-form simple regression, computed with centered
-(two-pass) sums accumulated by ``math.fsum``. Sorted synthetic series are
-nearly collinear, and the centered form avoids the cancellation that the
-naive sum-of-products formula suffers there.
-
-:func:`fit_ols` takes an ``(n, 2)`` float array of (x, y) rows or any
-iterable of (x, y) pairs. numpy forms each term; ``fsum`` is exactly
-rounded, so the order in which the terms are added cannot change a sum.
+(two-pass) sums. Sorted synthetic series are nearly collinear, and the
+centered form avoids the cancellation that the naive sum-of-products formula
+suffers there. :func:`fit_ols` takes an ``(n, 2)`` float array of (x, y) rows
+or any iterable of (x, y) pairs. Each sum is correctly rounded: it equals
+``math.fsum`` of its terms. It is taken exactly per binary exponent from 1,200
+to 2^26 terms, and by ``fsum`` for other counts, a term of 2^990 or more, or a
+zero or non-finite sum.
 """
 
 from __future__ import annotations
@@ -18,7 +18,30 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples, ShapeMismatch
+from .errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples, ShapeMismatch, ValidationError
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """``math.fsum(a)`` for a 1-D float64 array, without a Python float per value.
+
+    With frexp's (m, e), each value is (h + l)·2^(e-27), h = trunc(m·2^27) and l < 1. Per e,
+    bincount sums the h and the l exactly below 2^26 values; ldexp rescales, one fsum rounds.
+    """
+    if 1_200 <= len(a) < 1 << 26:  # measured: fsum over a memoryview is faster on fewer values
+        mantissa, exponent = np.frexp(a)
+        mantissa *= 2.0**27
+        high = np.trunc(mantissa)
+        with np.errstate(invalid="ignore"):  # inf - inf: a non-finite value falls back below
+            low = np.subtract(mantissa, high, out=mantissa)
+        e_min = int(exponent.min())
+        bucket = np.subtract(exponent, e_min, dtype=np.intp)
+        sums = np.stack((np.bincount(bucket, weights=high), np.bincount(bucket, weights=low)))
+        shift = np.arange(e_min - 27, e_min - 27 + sums.shape[1])
+        if shift[-1] + 27 <= 990:  # every value below 2^990: none of fsum's partial sums overflows
+            total = math.fsum(np.ldexp(sums, shift).ravel().tolist())
+            if total and math.isfinite(total):
+                return total
+    return math.fsum(memoryview(a))
 
 
 @dataclass(frozen=True)
@@ -38,14 +61,16 @@ def fit_ols(points: np.ndarray | Iterable[tuple[float, float]]) -> LinearFit:
     r_squared = 1 - SSE/SST.
 
     Raises ShapeMismatch when the points do not form an (n, 2) array,
-    InsufficientSamples for fewer than two points, DegenerateAbscissa
-    when every x coincides (or their spread underflows), and
-    DegenerateVariance when every y coincides (the coefficient of
-    determination is undefined there).
+    ValidationError for a NaN or infinite coordinate, InsufficientSamples
+    for fewer than two points, DegenerateAbscissa when every x coincides
+    (or their spread underflows), and DegenerateVariance when every y
+    coincides (the coefficient of determination is undefined there).
     """
     xy = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64)
     if xy.size and (xy.ndim != 2 or xy.shape[1] != 2):
         raise ShapeMismatch(f"points must form an (n, 2) array, got shape {xy.shape}")
+    if not np.isfinite(xy).all():
+        raise ValidationError("points must be finite numbers")
     n = len(xy) if xy.size else 0
     if n < 2:
         raise InsufficientSamples(f"regression needs at least 2 points, got {n}")
@@ -55,13 +80,13 @@ def fit_ols(points: np.ndarray | Iterable[tuple[float, float]]) -> LinearFit:
     if (y == y[0]).all():
         raise DegenerateVariance("all y values are identical")
 
-    x_bar = math.fsum(x.tolist()) / n
-    y_bar = math.fsum(y.tolist()) / n
+    x_bar = _exact_sum(x) / n
+    y_bar = _exact_sum(y) / n
     dx = x - x_bar
     dy = y - y_bar
-    s_xx = math.fsum((dx * dx).tolist())
-    s_xy = math.fsum((dx * dy).tolist())
-    s_st = math.fsum((dy * dy).tolist())
+    s_xx = _exact_sum(dx * dx)
+    s_xy = _exact_sum(dx * dy)
+    s_st = _exact_sum(dy * dy)
     if s_xx == 0.0:
         raise DegenerateAbscissa("the spread of x underflows to zero")
     if s_st == 0.0:
@@ -70,7 +95,7 @@ def fit_ols(points: np.ndarray | Iterable[tuple[float, float]]) -> LinearFit:
     beta = s_xy / s_xx
     alpha = y_bar - beta * x_bar
     residual = y - alpha - beta * x
-    sse = math.fsum((residual * residual).tolist())
+    sse = _exact_sum(residual * residual)
     # roundoff can push 1 - SSE/SST a hair outside [0, 1]; pin it
     r_squared = min(1.0, max(0.0, 1.0 - sse / s_st))
     return LinearFit(alpha=alpha, beta=beta, r_squared=r_squared, n=n)

@@ -883,6 +883,12 @@ STDOUT_PINS = {
         "e67edb743698ea05c09a4dd3ebe671461f38d604c96892ae823c506620c52bdc"),
     "validate-series-table": (["validate", "--series", "series.csv"],
         "eb8e7cf4f05306f0be3f3c42d8aeaa407a274e5b2e06ba51ed7f3e46ce86d3fb"),
+    # a 60 m pipe, n = 6,000 per seed: fit_ols sums per binary exponent from 1,200 values on
+    "sweep-config-60m-json": (["sweep", "--config", "long.json", "--reference", "reference.csv",
+                               "--format", "json"],
+        "fea4759835388fde38f9132436ed04e618e4020beeb083133a1c20276acc3c59"),
+    "run-config-60m-json": (["run", "--config", "long.json", "--format", "json"],
+        "2754b2262bddd44f50d323e85624616a7ec13fb879305e036c7282349837fec7"),
 }
 GENERATED_CSV_SHA256 = "abb4ed42d9d7c44956e8b729fb660332a2b0509514d8b5da8d582285f6bb1e97"
 
@@ -890,6 +896,7 @@ GENERATED_CSV_SHA256 = "abb4ed42d9d7c44956e8b729fb660332a2b0509514d8b5da8d582285
 @pytest.fixture
 def pinned_inputs(tmp_path, capsys, monkeypatch):
     write_config(tmp_path)
+    write_config(tmp_path, "long", total_length_m=60.0)
     (tmp_path / "reference.csv").write_text("length_m,t_obs_c\n2.5,28.8\n3.4,27.37\n4.4,26.67\n")
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--seed", "5", "--n", "538", "--min", "25.81", "--max", "31.01",

@@ -1,4 +1,5 @@
-"""Least-squares fit against an exact rational-arithmetic oracle."""
+"""Least-squares fit against an exact rational-arithmetic oracle and a pure-Python fsum fit;
+its exact sum against math.fsum."""
 
 import math
 import random
@@ -6,11 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from darl.errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples, ShapeMismatch
+from darl.errors import (DegenerateAbscissa, DegenerateVariance, InsufficientSamples, ShapeMismatch,
+                         ValidationError)
 from darl.ingest import load_fixture
-from darl.model import build_series, fit_seeds
-from darl.regression import LinearFit, fit_ols, predict_at
+from darl.model import ExperimentConfig, build_series, fit_seeds
+from darl.prng import KNOWN_FERMAT_PRIMES, SORT_ORDERS
+from darl.regression import LinearFit, _exact_sum, fit_ols, predict_at
 
 
 def ols_fraction_oracle(points):
@@ -101,6 +107,63 @@ def test_fixture_fits_equal_pure_python_reference_bit_for_bit(fixture):
     for seed_fit in fits:
         series = build_series(config, seed_fit.seed)
         assert seed_fit.fit == centered_fsum_reference(grid, series.tolist())
+
+
+# both sides of 1,000 and of 1,200, from where _exact_sum sums per binary exponent, and two long-sweep sizes
+@pytest.mark.parametrize("n", [999, 1000, 1199, 1200, 6000, 10000])
+@pytest.mark.parametrize("order", SORT_ORDERS)
+def test_large_fits_equal_pure_python_reference_bit_for_bit(n, order):
+    config = ExperimentConfig(t_in_c=31.01, t_end_c=25.81, t_w_c=24.28, total_length_m=n / 100,
+                              target_lengths_m=(2.5,), n_override=n, sort_order=order)
+    fits = fit_seeds(config)
+    assert [f.seed for f in fits] == sorted(KNOWN_FERMAT_PRIMES)
+    grid = [i * config.total_length_m / (n - 1) for i in range(n)]
+    for seed_fit in fits:
+        assert seed_fit.fit == centered_fsum_reference(grid, seed_fit.values.tolist())
+
+
+SPECIAL_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1.7e308, -1.7e308)
+
+
+@st.composite
+def sum_inputs(draw):
+    """A 1-D float64 array: random values at one scale, with a few special values planted."""
+    n = draw(st.integers(0, 1_199) | st.integers(1_200, 2_600))
+    scale = draw(st.sampled_from((0.0, 1e-310, 1e-300, 1e-20, 1.0, 31.01, 1e20, 1e298, 1e300, 1e308)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = scale * rng.uniform(-1.0 if draw(st.booleans()) else 0.0, 1.0, n)
+    if draw(st.booleans()):  # spread the values over some 60 binary exponents
+        values *= 2.0 ** rng.integers(-60, 1, n)
+    if n:
+        planted = draw(arrays(np.float64, st.integers(0, 3), elements=st.sampled_from(SPECIAL_VALUES)))
+        values[rng.integers(0, n, len(planted))] = planted
+    if draw(st.booleans()):
+        values = np.sort(values)
+    if draw(st.booleans()):  # a strided column view, as fit_ols passes x and y
+        values = np.column_stack((values, np.ones(n)))[:, 0]
+    return values
+
+
+def fsum_outcome(sum_function, values):
+    """The sum's repr (which tells -0.0 and nan apart), or the name of the exception it raised."""
+    try:
+        return repr(sum_function(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=sum_inputs())
+@example(values=np.array([math.inf, -math.inf] + [1.0] * 1_500))  # fsum raises ValueError
+@example(values=np.array([1e308, 1e308, -1e308, -1e308, 1.0] * 300))  # fsum overflows midway
+def test_exact_sum_equals_fsum(values):
+    assert fsum_outcome(_exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
+
+
+@pytest.mark.parametrize("y", [[math.nan, 2.0, 3.0], [math.inf, 2.0, -math.inf]], ids=["nan", "inf-and-minus-inf"])
+def test_fit_ols_rejects_non_finite_points(y):
+    with pytest.raises(ValidationError, match="finite"):
+        fit_ols(zip([0.0, 1.0, 2.0], y))
 
 
 @pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros(6), np.zeros((2, 2, 2)),
