@@ -60,6 +60,10 @@ def _write_artifact(out_dir: str, filename: str, text: str) -> Path:
     return path
 
 
+def _header(source: str) -> dict:
+    return {"tool": "darl", "version": __version__, "source": source}
+
+
 def _read_input(path: str) -> bytes:
     """A file's bytes up to the cap, in 64 KiB reads (read(n) allocates n bytes); /dev/zero ends too."""
     data = bytearray()
@@ -74,6 +78,8 @@ def _read_input(path: str) -> bytes:
 def _parse_seeds(text: str, config_seeds: tuple[int, ...]) -> tuple[int, ...]:
     """The --seeds subset; each seed must be one of the config's."""
     try:
+        if "_" in text or not text.isascii():  # int() also reads "1_7" and non-ASCII digits
+            raise ValueError
         seeds = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValidationError(f"--seeds expects comma-separated integers, got {text!r}") from None
@@ -165,7 +171,7 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
         for pub in fixture.reported_rows
     ]
     computed_rmse = {}
-    for mode in sorted(DARL_MODES):
+    for mode in DARL_MODES:
         comps = compare_with_reference(predict(replace(pristine, darl_mode=mode), fits), fixture.reference)
         by_row = {(c.seed, c.target_length_m): c for c in comps}
         pairs = [by_row[row["seed"], row["target_length_m"]] for row in rows]
@@ -198,9 +204,7 @@ def _build_report(
     fits = fit_seeds(config)
     records = predict(config, fits)
     report = {
-        "tool": "darl",
-        "version": __version__,
-        "source": name,
+        **_header(name),
         "kind": "fixture" if fixture is not None else "config",
         "config": vars(config),
         "sample_count": config.sample_count(),
@@ -311,9 +315,7 @@ def cmd_sweep(args) -> int:
     ranking = rank_seeds(compare_with_reference(run_configuration(config), reference))
     best = ranking[0][1]
     doc = {
-        "tool": "darl",
-        "version": __version__,
-        "source": name,
+        **_header(name),
         "mode": config.darl_mode,
         "ranking": [
             {
@@ -351,9 +353,7 @@ def cmd_validate(args) -> int:
         for seed in sorted(config.seeds):
             rows.append({"source": f"seed {seed}", **_distribution_stats(build_series(config, seed))})
     doc = {
-        "tool": "darl",
-        "version": __version__,
-        "source": source,
+        **_header(source),
         "alpha": ALPHA,
         "results": rows,
     }
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="CSV of observations (length_m,t_obs_c) for --config runs")
     experiment.add_argument("--sort-order", choices=tuple(_ORDER_FLAGS), default=None,
                             help="series sort direction override")
-    experiment.add_argument("--darl-mode", choices=tuple(sorted(DARL_MODES)), default=None,
+    experiment.add_argument("--darl-mode", choices=DARL_MODES, default=None,
                             help="predictor reading override")
 
     p = sub.add_parser("generate", help="emit one sorted bounded series as a single-column CSV")

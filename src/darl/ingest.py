@@ -108,23 +108,12 @@ def load_fixture(name: str) -> Fixture:
         known = ", ".join(FIXTURE_NAMES)
         raise UnknownFixture(f"unknown fixture {name!r} (built-ins: {known})")
     doc = json.loads((Path(__file__).parent / "fixtures" / "v1" / f"{name}.json").read_bytes())
-    config = _config_from_mapping(doc["config"])
-    reference = tuple((float(x), float(t)) for x, t in doc["reference"])
-    rows = tuple(
-        ReportedRow(
-            target_length_m=float(r["target_length_m"]),
-            seed=int(r["seed"]),
-            delta_t_c=float(r["delta_t_c"]),
-            relative_error_pct=float(r["relative_error_pct"]),
-        )
-        for r in doc["reported"]["rows"]
-    )
     return Fixture(
         name=name,
-        config=config,
-        reference=reference,
-        reported_rows=rows,
-        reported_rmse_c=float(doc["reported"]["rmse_c"]),
+        config=_config_from_mapping(doc["config"]),
+        reference=tuple(map(tuple, doc["reference"])),
+        reported_rows=tuple(ReportedRow(**row) for row in doc["reported"]["rows"]),
+        reported_rmse_c=doc["reported"]["rmse_c"],
     )
 
 

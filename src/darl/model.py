@@ -12,9 +12,9 @@ The predictor is evaluated exactly as published:
 For realistic boundary temperatures this expression leaves the physical
 bracket [min(t_min, t_w), t_max] by a wide margin, so every prediction
 carries an out-of-range flag instead of being clamped or corrected.
-:data:`DARL_MODES` holds the readings compared side by side: the printed
-one and, as the non-default mode ``span-over-phi-r2``, one that divides
-the temperature span by t_phi * r_squared instead.
+:data:`DARL_MODES` is the tuple of reading names, in report order: the
+printed one and, as the non-default mode ``span-over-phi-r2``, one that
+divides the temperature span by t_phi * r_squared instead.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields
 from statistics import fmean
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,25 +47,8 @@ AS_PRINTED = "as-printed"
 SPAN_OVER_PHI_R2 = "span-over-phi-r2"
 
 
-def _as_printed(t_max: float, t_min: float, t_w: float, t_phi: float, r_squared: float) -> float:
-    den = t_phi - t_w
-    if den == 0.0:
-        raise Singularity("t_phi equals t_w; the predictor denominator vanishes")
-    return ((t_max - t_min) / den) * (1.0 / r_squared) * t_w + t_phi
-
-
-def _span_over_phi_r2(t_max: float, t_min: float, t_w: float, t_phi: float, r_squared: float) -> float:
-    den = t_phi * r_squared
-    if den == 0.0:
-        raise Singularity("t_phi * r_squared vanishes; the variant denominator is zero")
-    return ((t_max - t_min) / den) * t_w + t_phi
-
-
-#: Predictor readings, name -> f(t_max, t_min, t_w, t_phi, r2).
-DARL_MODES: dict[str, Callable[[float, float, float, float, float], float]] = {
-    AS_PRINTED: _as_printed,
-    SPAN_OVER_PHI_R2: _span_over_phi_r2,
-}
+#: Predictor readings, in report order.
+DARL_MODES = (AS_PRINTED, SPAN_OVER_PHI_R2)
 
 
 def darl_temperature(
@@ -84,12 +67,20 @@ def darl_temperature(
     """
     if r_squared <= 0.0:
         raise InvalidCoefficient(f"r_squared must be positive, got {r_squared}")
-    try:
-        fn = DARL_MODES[mode]
-    except KeyError:
-        known = ", ".join(sorted(DARL_MODES))
-        raise ValidationError(f"unknown predictor mode {mode!r} (registered: {known})") from None
-    t_sim = fn(float(t_max), float(t_min), float(t_w), float(t_phi), float(r_squared))
+    if mode not in DARL_MODES:
+        raise ValidationError(f"unknown predictor mode {mode!r} (registered: {', '.join(DARL_MODES)})")
+    span = float(t_max) - float(t_min)
+    w, phi, r2 = float(t_w), float(t_phi), float(r_squared)
+    if mode == AS_PRINTED:
+        den = phi - w
+        if den == 0.0:
+            raise Singularity("t_phi equals t_w; the predictor denominator vanishes")
+        t_sim = (span / den) * (1.0 / r2) * w + phi
+    else:
+        den = phi * r2
+        if den == 0.0:
+            raise Singularity("t_phi * r_squared vanishes; the variant denominator is zero")
+        t_sim = (span / den) * w + phi
     out_of_range = not (min(t_min, t_w) <= t_sim <= t_max)
     return t_sim, out_of_range
 

@@ -796,6 +796,27 @@ def test_run_empty_seeds_or_reference_is_an_error(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.glob("*-report.json"))
 
 
+@pytest.mark.parametrize("seeds", ["1_7", "\uff13", "3,1_7"], ids=["underscore", "full-width", "underscore-part"])
+def test_run_seeds_not_plain_ascii_digits_exit_2(tmp_path, capsys, seeds):
+    # int() reads "1_7" as 17 and a full-width digit as its ASCII value
+    rc = main(["run", "--fixture", "experiment-a", "--seeds", seeds, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert_one_error_line(capsys, f"--seeds expects comma-separated integers, got {seeds!r}")
+    assert not list(tmp_path.glob("*-report.json"))
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
+def test_run_empty_reference_file_exit_2(tmp_path, capsys, text):
+    config_path = write_config(tmp_path)
+    reference = tmp_path / "reference.csv"
+    reference.write_text(text)
+    rc = main(["run", "--config", str(config_path), "--reference", str(reference),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert_one_error_line(capsys, "reference file is empty; header row required")
+    assert not list(tmp_path.glob("*-report.json"))
+
+
 def test_run_seeds_outside_config_exit_2(tmp_path, capsys):
     config_path = write_config(tmp_path, seeds=(3, 5))
     rc = main(["run", "--config", str(config_path), "--seeds", "17", "--out-dir", str(tmp_path)])

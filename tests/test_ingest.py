@@ -16,6 +16,7 @@ from darl.ingest import (
     _CONFIG_REQUIRED,
     FIXTURE_NAMES,
     load_config,
+    ReportedRow,
     load_fixture,
     load_reference_csv,
     load_series_csv,
@@ -151,6 +152,19 @@ def test_fixture_self_consistency(name):
         for sim in (t_obs + row.delta_t_c, t_obs - row.delta_t_c):
             err = relative_error(t_obs, sim)
             assert abs(err - row.relative_error_pct) <= 0.01
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_values_have_their_annotated_types(name):
+    # load_fixture converts nothing: the packaged JSON holds each value as its field's type
+    fixture = load_fixture(name)
+    for pair in fixture.reference:
+        assert type(pair) is tuple and [type(v) for v in pair] == [float, float]
+    annotated = {"float": float, "int": int}
+    for row in fixture.reported_rows:
+        for f in fields(ReportedRow):
+            assert type(getattr(row, f.name)) is annotated[f.type], (row, f.name)
+    assert type(fixture.reported_rmse_c) is float
 
 
 def test_load_series_csv():

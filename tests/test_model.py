@@ -118,6 +118,8 @@ def test_variant_mode_arithmetic():
 def test_unknown_mode_rejected():
     with pytest.raises(ValidationError):
         darl_temperature(31.01, 25.81, 24.28, 28.0, 0.95, mode="telepathy")
+    with pytest.raises(ValidationError):
+        darl_temperature(31.01, 25.81, 24.28, 28.0, 0.95, mode=["as-printed"])
 
 
 def test_mode_registry_contents():
