@@ -75,6 +75,14 @@ def _read_input(path: str) -> bytes:
     return bytes(data)
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value: ASCII digits with an optional sign (int() also reads "1_7" and "３")."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expects an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_seeds(text: str, config_seeds: tuple[int, ...]) -> tuple[int, ...]:
     """The --seeds subset; each seed must be one of the config's."""
     try:
@@ -155,11 +163,14 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
     Always evaluated on the pristine fixture config (the published
     protocol), regardless of run-time overrides, so the recorded
     discrepancy is stable. Every mode reads the run's own fits unless an
-    override other than the mode changed them.
+    override other than the mode and the seeds changed them; a --seeds
+    subset leaves only the other seeds to fit.
     """
     pristine = fixture.config
-    if replace(config, darl_mode=pristine.darl_mode) != pristine:
+    if replace(config, darl_mode=pristine.darl_mode, seeds=pristine.seeds) != pristine:
         fits = fit_seeds(pristine)
+    elif rest := tuple(seed for seed in pristine.seeds if seed not in config.seeds):
+        fits = [*fits, *fit_seeds(replace(pristine, seeds=rest))]
     rows = [
         {
             "target_length_m": pub.target_length_m,
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stdout format (default: table)")
 
     length = argparse.ArgumentParser(add_help=False)
-    length.add_argument("--n-override", type=int, default=None,
+    length.add_argument("--n-override", type=_integer, default=None,
                         help="series length override (defaults to one value per centimetre)")
 
     experiment = argparse.ArgumentParser(add_help=False)
@@ -429,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="predictor reading override")
 
     p = sub.add_parser("generate", help="emit one sorted bounded series as a single-column CSV")
-    p.add_argument("--seed", type=int, required=True, help="32-bit generator seed")
-    p.add_argument("--n", type=int, required=True, help="number of values")
+    p.add_argument("--seed", type=_integer, required=True, help="32-bit generator seed")
+    p.add_argument("--n", type=_integer, required=True, help="number of values")
     p.add_argument("--min", type=float, required=True, help="lower bound, degrees C")
     p.add_argument("--max", type=float, required=True, help="upper bound, degrees C")
     p.add_argument("--order", choices=tuple(_ORDER_FLAGS), default="asc",

@@ -120,15 +120,25 @@ def load_fixture(name: str) -> Fixture:
 def load_series_csv(data: bytes) -> np.ndarray:
     """Parse a single-column series CSV with an Ordered_Value header."""
     text = _decode(data, "series file")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise SchemaError("series file is empty; Ordered_Value header required")
     if lines[0].strip('"') != "Ordered_Value":
         raise SchemaError(f"series header must be Ordered_Value, got {lines[0]!r}")
-    values = [_finite(line, idx) for idx, line in enumerate(lines[1:], start=1)]
-    if not values:
+    body = lines[1:]
+    if not body:
         raise InsufficientSamples("series file has no values")
-    return np.asarray(values, dtype=np.float64)
+    try:  # every row at once; _finite's checks, batched
+        joined = "".join(body)
+        if "_" in joined or not joined.isascii():
+            raise ValueError
+        values = np.fromiter(map(float, body), np.float64, count=len(body))
+        low, high = float(values.min()), float(values.max())  # a NaN propagates into both
+        if not -TEMPERATURE_LIMIT_C <= low <= high <= TEMPERATURE_LIMIT_C:
+            raise ValueError
+    except ValueError:  # the per-row parse names the first bad row
+        values = np.array([_finite(line, idx) for idx, line in enumerate(body, start=1)])
+    return values
 
 
 def load_reference_csv(data: bytes) -> list[tuple[float, float]]:

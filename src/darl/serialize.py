@@ -11,6 +11,8 @@ import math
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
+import numpy as np
+
 FLOAT_DIGITS = 15
 
 
@@ -59,11 +61,18 @@ def render_json(obj) -> str:
     return _render(obj, 0)
 
 
-def render_series_csv(values: Iterable[float]) -> str:
-    """Single-column CSV with an unquoted Ordered_Value header."""
-    lines = ["Ordered_Value"]
-    lines.extend(format_float(v) for v in values)
-    return "\n".join(lines) + "\n"
+def render_series_csv(values: Sequence[float] | np.ndarray) -> str:
+    """Single-column CSV with an unquoted Ordered_Value header.
+
+    One ``%`` format over all values: ``%`` and format_float's ``format``
+    share CPython's float formatter, so the bytes are format_float's.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    # a NaN propagates into min and max, so both are finite only when every value is
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        for value in values.tolist():
+            format_float(value)  # raises its error for the first non-finite value
+    return "Ordered_Value\n" + (f"%.{FLOAT_DIGITS}g\n" * values.size) % tuple(values.tolist())
 
 
 def render_plot_csv(rows: Iterable[tuple[float, float, float]]) -> str:

@@ -608,6 +608,17 @@ def test_run_draws_and_fits_each_seed_once(tmp_path, capsys, monkeypatch):
     assert len(series_calls) == len(fit_calls) == len(seeds) == 5
 
 
+def test_run_seeds_subset_fits_each_seed_once(tmp_path, capsys, monkeypatch):
+    # the discrepancy block reuses the run's seed 3 and 5 fits and fits only 17, 257 and 65537
+    series_calls = counting(monkeypatch, "uniform_series")
+    fit_calls = counting(monkeypatch, "fit_ols")
+    assert main(["run", "--fixture", "experiment-b", "--seeds", "3,5", "--format", "json",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(args[0] for args in series_calls) == [3, 5, 17, 257, 65537]
+    assert len(fit_calls) == 5
+
+
 @pytest.mark.parametrize("override", [["--n-override", "600"], ["--seeds", "3,5"]])
 @pytest.mark.parametrize("fixture", ["experiment-a", "experiment-b"])
 def test_run_override_keeps_pristine_discrepancy_report(tmp_path, capsys, fixture, override):
@@ -805,6 +816,38 @@ def test_run_seeds_not_plain_ascii_digits_exit_2(tmp_path, capsys, seeds):
     assert not list(tmp_path.glob("*-report.json"))
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["generate", "--seed", "1_7", "--n", "30", "--min", "24", "--max", "31"], "--seed", "1_7"),
+    (["generate", "--seed", "3", "--n", "\uff130", "--min", "24", "--max", "31"], "--n", "\uff130"),
+    (["generate", "--seed", " 3", "--n", "30", "--min", "24", "--max", "31"], "--seed", " 3"),
+    (["run", "--fixture", "experiment-a", "--n-override", "6_00"], "--n-override", "6_00"),
+    (["validate", "--fixture", "experiment-a", "--n-override", "\u0666"], "--n-override", "\u0666"),
+], ids=["seed-underscore", "n-full-width", "seed-space", "run-n-override-underscore",
+        "validate-n-override-arabic-indic"])
+def test_integer_flag_not_plain_ascii_digits_is_a_usage_error(argv, flag, value, capsys, tmp_path,
+                                                              monkeypatch):
+    # int() reads "1_7" as 17 and non-ASCII digits as their ASCII values; the flags do not
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(f"error: argument {flag}: expects an integer in ASCII digits, got {value!r}")
+    assert not list(tmp_path.iterdir())
+
+
+def test_integer_flags_take_a_sign(tmp_path, capsys):
+    assert main(["generate", "--seed", "+3", "--n", "+538", "--min", "25.81", "--max", "31.01",
+                 "--order", "asc", "--out", str(tmp_path / "signed.csv")]) == 0
+    assert main(["generate", "--seed", "3", "--n", "538", "--min", "25.81", "--max", "31.01",
+                 "--order", "asc", "--out", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "signed.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    capsys.readouterr()
+    # -1 passes the flag; the config refuses it as a length
+    assert main(["run", "--fixture", "experiment-a", "--n-override", "-1", "--out-dir", str(tmp_path)]) == 2
+    assert_one_error_line(capsys, "n_override must be at least 2, got -1")
+
+
 @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
 def test_run_empty_reference_file_exit_2(tmp_path, capsys, text):
     config_path = write_config(tmp_path)
@@ -910,8 +953,16 @@ STDOUT_PINS = {
         "fea4759835388fde38f9132436ed04e618e4020beeb083133a1c20276acc3c59"),
     "run-config-60m-json": (["run", "--config", "long.json", "--format", "json"],
         "2754b2262bddd44f50d323e85624616a7ec13fb879305e036c7282349837fec7"),
+    # the n = 5,000 series at the benchmark's scale, read back in one batch
+    "validate-series-5000-json": (["validate", "--series", "series5000.csv", "--format", "json"],
+        "26d0c2a2e92bbc5c00be37589639b3fa3028e1032d108bfc579ea3732a9ff03a"),
+    "validate-series-5000-table": (["validate", "--series", "series5000.csv"],
+        "099958ca338bb239327138fd559b6978fa403b16bb149acbd51c2769194ca532"),
 }
-GENERATED_CSV_SHA256 = "abb4ed42d9d7c44956e8b729fb660332a2b0509514d8b5da8d582285f6bb1e97"
+GENERATED_CSV_SHA256 = {
+    "series.csv": "abb4ed42d9d7c44956e8b729fb660332a2b0509514d8b5da8d582285f6bb1e97",
+    "series5000.csv": "1b1ee713a23d2e96ff90e864f21d98818288c1f3b3223727b1c9547207bea5cd",
+}
 
 
 @pytest.fixture
@@ -922,6 +973,8 @@ def pinned_inputs(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--seed", "5", "--n", "538", "--min", "25.81", "--max", "31.01",
                  "--out", "series.csv"]) == 0
+    assert main(["generate", "--seed", "3", "--n", "5000", "--min", "24", "--max", "31",
+                 "--order", "desc", "--out", "series5000.csv"]) == 0
     capsys.readouterr()
     return tmp_path
 
@@ -933,4 +986,6 @@ def test_stdout_matches_pinned_hash(pinned_inputs, capsys, argv, digest):
 
 
 def test_generated_csv_matches_pinned_hash(pinned_inputs):
-    assert hashlib.sha256((pinned_inputs / "series.csv").read_bytes()).hexdigest() == GENERATED_CSV_SHA256
+    digests = {name: hashlib.sha256((pinned_inputs / name).read_bytes()).hexdigest()
+               for name in GENERATED_CSV_SHA256}
+    assert digests == GENERATED_CSV_SHA256

@@ -1,9 +1,13 @@
 """Config round-trips, built-in fixtures, series and reference CSV files."""
 
 import json
+import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darl.errors import (
     InsufficientSamples,
@@ -22,6 +26,7 @@ from darl.ingest import (
     load_series_csv,
 )
 from darl.model import ExperimentConfig
+from darl.prng import TEMPERATURE_LIMIT_C
 from darl.stats import relative_error
 
 
@@ -180,6 +185,80 @@ def test_load_series_csv():
         load_series_csv(b"Ordered_Value\n1.0\n\xff\n")
     with pytest.raises(InsufficientSamples):
         load_series_csv(b"Ordered_Value\n")
+
+
+def per_row_series(data: bytes) -> np.ndarray:
+    """The series reader one row at a time: the reference the batched reader must match."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"series file is not valid UTF-8: {exc}") from None
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise SchemaError("series file is empty; Ordered_Value header required")
+    if lines[0].strip('"') != "Ordered_Value":
+        raise SchemaError(f"series header must be Ordered_Value, got {lines[0]!r}")
+    values = []
+    for idx, cell in enumerate(lines[1:], start=1):
+        if "_" in cell or not cell.isascii():
+            raise ParseError(f"row {idx}: unparseable numeric value")
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(f"row {idx}: unparseable numeric value") from None
+        if not math.isfinite(value):
+            raise ParseError(f"row {idx}: non-finite value")
+        if abs(value) > TEMPERATURE_LIMIT_C:
+            raise ParseError(f"row {idx}: value {value:g} beyond ±{TEMPERATURE_LIMIT_C:g}")
+        values.append(value)
+    if not values:
+        raise InsufficientSamples("series file has no values")
+    return np.asarray(values, dtype=np.float64)
+
+
+def outcome(parse, data):
+    try:
+        return parse(data).tobytes()
+    except Exception as exc:  # any error: its type and text are compared
+        return type(exc), str(exc)
+
+
+PLANTED_CELLS = ["nan", "-NaN", "inf", "-Infinity", "1e7", "-1e6", "1000000.0000001", "1e400",
+                 "-1e400", "1 2", "", "  ", "0x1p3", "+.5", "1e-400", "\u00a028.5\u00a0", "xyz", "-0",
+                 "\ufeff1"]
+# float() reads these (as 10, 25.3, 1, 25 and 25.3); the series reader refuses them
+FLOAT_ONLY_CELLS = ["1_0", "2_5.3", "\uff11", "2\u0665", "\u0662\u0665.3"]
+in_range = st.floats(-TEMPERATURE_LIMIT_C, TEMPERATURE_LIMIT_C)
+valid_cells = st.one_of(in_range.map(repr), in_range.map(lambda v: format(v, ".15g")),
+                        in_range.map(lambda v: f" {v}\t"))
+planted_cells = st.one_of(st.sampled_from(PLANTED_CELLS), st.sampled_from(FLOAT_ONLY_CELLS),
+                          st.floats(-2e6, 2e6).map(repr),
+                          st.text(alphabet="0123456789.eE+-_ na", max_size=6))
+
+
+@st.composite
+def bodies(draw):
+    """A series file: mostly well-formed rows, with a few planted cells among them."""
+    header = draw(st.one_of(st.just("Ordered_Value"),
+                            st.sampled_from(['"Ordered_Value"', " Ordered_Value ", "Value", ""])))
+    rows = draw(st.lists(valid_cells, max_size=12))
+    for cell in draw(st.lists(planted_cells, max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), cell)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (newline.join([header, *rows]) + newline * draw(st.integers(0, 2))).encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=bodies())
+@example(b"Ordered_Value\r\n1.5\r\n\r\n-0\r\n")
+@example(b"Ordered_Value\n1.5\n1_0\n")
+@example("Ordered_Value\n1.5\n\uff11\n".encode())
+@example(b"Ordered_Value\n1e400\nnan\n")
+@example(b"Ordered_Value\n1.5\n1e7\n")
+@example(b"Ordered_Value\n1 2\n")
+def test_load_series_csv_matches_per_row_parse(data):
+    # the same values bit for bit, or the same exception type and text
+    assert outcome(load_series_csv, data) == outcome(per_row_series, data)
 
 
 def test_load_reference_csv():

@@ -1,12 +1,13 @@
-"""Deterministic JSON: edge cases of the renderer and a round-trip property."""
+"""Deterministic JSON and series CSV: edge cases and properties of the renderers."""
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darl.serialize import FLOAT_DIGITS, render_json
+from darl.serialize import FLOAT_DIGITS, format_float, render_json, render_series_csv
 
 
 @pytest.mark.parametrize("doc, expected", [
@@ -66,3 +67,28 @@ def test_render_json_round_trips(doc):
         else:  # an array breaks onto lines only when it holds an array or object
             nested = any(isinstance(item, (list, tuple, dict)) for item in node)
             assert ("\n" in render_json(node)) == nested
+
+
+# %g switches to an exponent below 1e-4 and from 1e15 (15 digits) on
+SERIES_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.99999999999999e-05, 1e-4,
+                999999999999999.0, 1e15, 1e16, 1e6, -1e6, 0.1, 24.28]
+series_values = st.lists(st.one_of(st.floats(), st.sampled_from(SERIES_EDGES)), max_size=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=series_values)
+@example([])
+@example(SERIES_EDGES)
+@example([1.0, float("nan"), float("inf")])
+@example([float("-inf")])
+def test_render_series_csv_matches_format_float(values):
+    # one % format over the array writes format_float's bytes, or raises its error
+    try:
+        expected = "\n".join(["Ordered_Value", *map(format_float, values)]) + "\n"
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            render_series_csv(np.array(values, dtype=np.float64))
+        assert str(info.value) == str(exc)
+    else:
+        assert render_series_csv(np.array(values, dtype=np.float64)) == expected
+        assert render_series_csv(values) == expected
