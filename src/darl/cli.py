@@ -23,6 +23,7 @@ from .ingest import (
     load_fixture,
     load_reference_csv,
     load_series_csv,
+    plain_number,
 )
 from .model import (
     DARL_MODES,
@@ -51,6 +52,8 @@ MAX_INPUT_BYTES = 32 * MAX_SAMPLE_COUNT
 
 
 def _write_artifact(out_dir: str, filename: str, text: str) -> Path:
+    if not out_dir:  # Path("") is the current directory
+        raise ValidationError("--out-dir must not be empty")
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
@@ -85,11 +88,9 @@ def _integer(text: str) -> int:
 
 def _parse_seeds(text: str, config_seeds: tuple[int, ...]) -> tuple[int, ...]:
     """The --seeds subset; each seed must be one of the config's."""
-    try:
-        if "_" in text or not text.isascii():  # int() also reads "1_7" and non-ASCII digits
-            raise ValueError
-        seeds = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    try:  # only the padding int() accepts; str.strip() also takes NBSP and \x1c-\x1f
+        seeds = tuple(_integer(part.strip(" \t\n\r\v\f")) for part in text.split(","))
+    except argparse.ArgumentTypeError:
         raise ValidationError(f"--seeds expects comma-separated integers, got {text!r}") from None
     if not set(seeds) <= set(config_seeds):
         raise ValidationError(f"--seeds {text} is not a subset of the config seeds {list(config_seeds)}")
@@ -442,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit one sorted bounded series as a single-column CSV")
     p.add_argument("--seed", type=_integer, required=True, help="32-bit generator seed")
     p.add_argument("--n", type=_integer, required=True, help="number of values")
-    p.add_argument("--min", type=float, required=True, help="lower bound, degrees C")
-    p.add_argument("--max", type=float, required=True, help="upper bound, degrees C")
+    p.add_argument("--min", type=plain_number, required=True, help="lower bound, degrees C")
+    p.add_argument("--max", type=plain_number, required=True, help="upper bound, degrees C")
     p.add_argument("--order", choices=tuple(_ORDER_FLAGS), default="asc",
                    help="sort direction (default: asc)")
     group = p.add_mutually_exclusive_group()

@@ -32,12 +32,17 @@ def _decode(data: bytes, what: str) -> str:
         raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
 
 
+def plain_number(text: str) -> float:
+    """A decimal number in ASCII (float() also reads "2_5" and non-ASCII digits); ValueError otherwise."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"expects a number in ASCII digits, got {text!r}")
+    return float(text)
+
+
 def _finite(cell: str, idx: int) -> float:
     """A finite CSV number within ±TEMPERATURE_LIMIT_C (lengths are far smaller)."""
-    if "_" in cell or not cell.isascii():  # float() also reads "2_5" and non-ASCII digits
-        raise ParseError(f"row {idx}: unparseable numeric value")
     try:
-        value = float(cell)
+        value = plain_number(cell)
     except ValueError:
         raise ParseError(f"row {idx}: unparseable numeric value") from None
     if not math.isfinite(value):

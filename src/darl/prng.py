@@ -73,18 +73,14 @@ def _init_state_by_key(key: Sequence[int]) -> list[int]:
     return mt
 
 
-# Seeding is a pure function of the seed (or key): memoise the setstate argument,
-# about 24 KiB an entry. A config admits only the five Fermat primes, and a key
-# seeds only acceptance criterion 1's golden vector; each memo is sized to that.
+# Seeding is a pure function of the seed (an int) or key (a tuple): memoise the setstate
+# argument, about 24 KiB an entry. One memo of eight holds the five Fermat primes, all a
+# config admits, and the key of acceptance criterion 1's golden vector.
 
 @lru_cache(maxsize=8)
-def _seeded_state(seed: int) -> tuple:
-    return (3, (*_init_state(seed), _N), None)
-
-
-@lru_cache(maxsize=4)
-def _key_seeded_state(key: tuple[int, ...]) -> tuple:
-    return (3, (*_init_state_by_key(key), _N), None)
+def _seeded_state(seed: int | tuple[int, ...]) -> tuple:
+    words = _init_state_by_key(seed) if isinstance(seed, tuple) else _init_state(seed)
+    return (3, (*words, _N), None)
 
 
 class MersenneTwister(random.Random):
@@ -106,7 +102,7 @@ class MersenneTwister(random.Random):
         if not key:
             raise ValidationError("seeding key must be nonempty")
         gen = cls.__new__(cls)
-        gen.setstate(_key_seeded_state(tuple(int(k) & _WORD_MASK for k in key)))
+        gen.setstate(_seeded_state(tuple(int(k) & _WORD_MASK for k in key)))
         return gen
 
     def draw_words(self, count: int) -> np.ndarray:

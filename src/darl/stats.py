@@ -81,18 +81,14 @@ def _sw_weights(n: int) -> tuple[np.ndarray, float]:
         summ2 = 2.0 * float(np.sum(m * m))
         ssumm2 = math.sqrt(summ2)
         rsn = 1.0 / math.sqrt(n)
-        a1 = _poly(_C1, rsn) - m[0] / ssumm2
-        if n > 5:
-            a2 = -m[1] / ssumm2 + _poly(_C2, rsn)
-            fac = math.sqrt((summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
-                            / (1.0 - 2.0 * a1 ** 2 - 2.0 * a2 ** 2))
-            a = m / -fac
-            a[0] = a1
-            a[1] = a2
-        else:
-            fac = math.sqrt((summ2 - 2.0 * m[0] ** 2) / (1.0 - 2.0 * a1 ** 2))
-            a = m / -fac
-            a[0] = a1
+        ends, num, den = [], summ2, 1.0
+        # one polynomial end weight up to n = 5, then two; each leaves both square sums in turn
+        for coeffs, m_end in zip((_C1, _C2) if n > 5 else (_C1,), m):
+            ends.append(_poly(coeffs, rsn) - m_end / ssumm2)
+            num -= 2.0 * m_end ** 2
+            den -= 2.0 * ends[-1] ** 2
+        a = m / -math.sqrt(num / den)
+        a[:len(ends)] = ends
     weights = np.zeros(n)
     weights[:half] = -a  # weights for the lower tail are negative
     weights[n - half:] = a[::-1]

@@ -848,6 +848,44 @@ def test_integer_flags_take_a_sign(tmp_path, capsys):
     assert_one_error_line(capsys, "n_override must be at least 2, got -1")
 
 
+@pytest.mark.parametrize("flag", ["--min", "--max"])
+@pytest.mark.parametrize("value", ["2_4", "\uff12\uff14", "\u0662\u0664"],
+                         ids=["underscore", "full-width", "arabic-indic"])
+def test_bound_flag_not_plain_ascii_digits_is_a_usage_error(flag, value, capsys, tmp_path, monkeypatch):
+    # float() reads "2_4" and non-ASCII digits as 24; the bounds take the CSV cells' rule
+    monkeypatch.chdir(tmp_path)
+    bounds = {"--min": "24", "--max": "31", flag: value}
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--seed", "3", "--n", "5", *(f"{k}={v}" for k, v in bounds.items())])
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(f"error: argument {flag}: invalid plain_number value: {value!r}")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--fixture", "experiment-a"],
+    ["sweep", "--fixture", "experiment-a"],
+    ["generate", "--seed", "3", "--n", "5", "--min", "24", "--max", "31"],
+], ids=["run", "sweep", "generate"])
+def test_empty_out_dir_is_an_error(argv, capsys, tmp_path, monkeypatch):
+    # Path("") is the current directory, so an empty --out-dir would write there
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out-dir", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --out-dir must not be empty\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [[], ["generate"], ["run"], ["sweep"], ["validate"], ["fixtures"]],
+                         ids=["top-level", "generate", "run", "sweep", "validate", "fixtures"])
+def test_help_exits_0_with_usage(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['darl', *command])} ")
+
+
 @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
 def test_run_empty_reference_file_exit_2(tmp_path, capsys, text):
     config_path = write_config(tmp_path)

@@ -18,6 +18,10 @@ in-range pools, so that most examples make a report; where it exits 0, the
 report must agree with oracles that share no code with the pipeline past the
 series draw: the exact-rational OLS fit, ``scipy.stats.shapiro``,
 ``numpy.percentile`` and a numpy RMSE and mean relative error per seed.
+
+A fifth property holds the ``--seeds`` parser, which reads each item with the
+integer flags' rule, to the parser it replaced (``int()`` per item after an
+ASCII and no-``_`` check on the whole text): the same tuple or the same error.
 """
 
 import contextlib
@@ -32,7 +36,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darl.cli import main
+from darl.cli import _parse_seeds, main
+from darl.errors import ValidationError
 from darl.model import ExperimentConfig, build_series
 from darl.prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT
 
@@ -224,3 +229,34 @@ def test_run_report_agrees_with_independent_oracles(doc, reference, n):
             rc = main(argv)
     if rc == 0:
         check_report_against_oracles(json.loads(out.getvalue()), doc, reference, n)
+
+
+def int_per_item_seeds(text, config_seeds):
+    """The --seeds parser before it shared the integer flags' rule: the oracle."""
+    try:
+        if "_" in text or not text.isascii():  # int() also reads "1_7" and non-ASCII digits
+            raise ValueError
+        seeds = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValidationError(f"--seeds expects comma-separated integers, got {text!r}") from None
+    if not set(seeds) <= set(config_seeds):
+        raise ValidationError(f"--seeds {text} is not a subset of the config seeds {list(config_seeds)}")
+    return seeds
+
+
+def seeds_outcome(parse, text):
+    try:
+        return parse(text, KNOWN_FERMAT_PRIMES)
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+# digits, signs, separators, every whitespace int() strips or refuses, and non-ASCII digits
+SEED_PIECES = (*"0123456789+-,_", *" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003\uff13\u0663",
+               "3", "5", "17", "257", "65537", ",")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(st.sampled_from(SEED_PIECES), max_size=12).map("".join))
+def test_parse_seeds_matches_int_per_item_parser(text):
+    assert seeds_outcome(_parse_seeds, text) == seeds_outcome(int_per_item_seeds, text)

@@ -1,5 +1,6 @@
 """Validation statistics against reference oracles and hand arithmetic."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -229,6 +230,16 @@ def test_sw_weights_cached_once_per_n_and_read_only():
         assert abs(weights.sum()) < 1e-12  # centered
         assert np.allclose(weights, -weights[::-1], rtol=0.0, atol=1e-15)
         assert ssw == float(np.dot(weights, weights))
+
+
+def test_sw_weights_bytes_pinned():
+    # every n to 100 (one end weight to n = 5, two from n = 6) and every 41st to 5,000;
+    # the digest of the weights' bytes and repr(ssw), taken before the two end-weight paths became one
+    digest = hashlib.sha256()
+    for n in [*range(3, 101), *range(101, 5000, 41), 5000]:
+        weights, ssw = _sw_weights(n)
+        digest.update(weights.tobytes() + repr(ssw).encode())
+    assert digest.hexdigest() == "006087463e9bf6b7e36b286c76bff011ceb5963e0b08345064967a9c9f4def47"
 
 
 def test_sample_shaped_like_the_weights_gives_p_one():
