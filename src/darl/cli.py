@@ -86,11 +86,19 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _bound(text: str) -> float:
+    """A --min/--max value under the CSV cells' decimal rule, refused in argparse's words for float."""
+    try:
+        return plain_number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _parse_seeds(text: str, config_seeds: tuple[int, ...]) -> tuple[int, ...]:
     """The --seeds subset; each seed must be one of the config's."""
-    try:  # only the padding int() accepts; str.strip() also takes NBSP and \x1c-\x1f
+    try:  # the ASCII whitespace int() strips; NBSP, em space and \x1c-\x1f stay refused
         seeds = tuple(_integer(part.strip(" \t\n\r\v\f")) for part in text.split(","))
-    except argparse.ArgumentTypeError:
+    except (argparse.ArgumentTypeError, ValueError):  # ValueError: int()'s 4,300-digit limit
         raise ValidationError(f"--seeds expects comma-separated integers, got {text!r}") from None
     if not set(seeds) <= set(config_seeds):
         raise ValidationError(f"--seeds {text} is not a subset of the config seeds {list(config_seeds)}")
@@ -443,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit one sorted bounded series as a single-column CSV")
     p.add_argument("--seed", type=_integer, required=True, help="32-bit generator seed")
     p.add_argument("--n", type=_integer, required=True, help="number of values")
-    p.add_argument("--min", type=plain_number, required=True, help="lower bound, degrees C")
-    p.add_argument("--max", type=plain_number, required=True, help="upper bound, degrees C")
+    p.add_argument("--min", type=_bound, required=True, help="lower bound, degrees C")
+    p.add_argument("--max", type=_bound, required=True, help="upper bound, degrees C")
     p.add_argument("--order", choices=tuple(_ORDER_FLAGS), default="asc",
                    help="sort direction (default: asc)")
     group = p.add_mutually_exclusive_group()

@@ -807,9 +807,10 @@ def test_run_empty_seeds_or_reference_is_an_error(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.glob("*-report.json"))
 
 
-@pytest.mark.parametrize("seeds", ["1_7", "\uff13", "3,1_7"], ids=["underscore", "full-width", "underscore-part"])
+@pytest.mark.parametrize("seeds", ["1_7", "\uff13", "3,1_7", "1" * 5000],
+                         ids=["underscore", "full-width", "underscore-part", "beyond-int-digit-limit"])
 def test_run_seeds_not_plain_ascii_digits_exit_2(tmp_path, capsys, seeds):
-    # int() reads "1_7" as 17 and a full-width digit as its ASCII value
+    # int() reads "1_7" as 17 and a full-width digit as its ASCII value, and refuses 5,000 digits with ValueError
     rc = main(["run", "--fixture", "experiment-a", "--seeds", seeds, "--out-dir", str(tmp_path)])
     assert rc == 2
     assert_one_error_line(capsys, f"--seeds expects comma-separated integers, got {seeds!r}")
@@ -849,17 +850,17 @@ def test_integer_flags_take_a_sign(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--min", "--max"])
-@pytest.mark.parametrize("value", ["2_4", "\uff12\uff14", "\u0662\u0664"],
-                         ids=["underscore", "full-width", "arabic-indic"])
+@pytest.mark.parametrize("value", ["2_4", "\uff12\uff14", "\u0662\u0664", "abc"],
+                         ids=["underscore", "full-width", "arabic-indic", "not-a-number"])
 def test_bound_flag_not_plain_ascii_digits_is_a_usage_error(flag, value, capsys, tmp_path, monkeypatch):
-    # float() reads "2_4" and non-ASCII digits as 24; the bounds take the CSV cells' rule
+    # float() reads "2_4" and non-ASCII digits as 24; the bounds take the CSV cells' rule, in float's words
     monkeypatch.chdir(tmp_path)
     bounds = {"--min": "24", "--max": "31", flag: value}
     with pytest.raises(SystemExit) as info:
         main(["generate", "--seed", "3", "--n", "5", *(f"{k}={v}" for k, v in bounds.items())])
     assert info.value.code == 2
     err = capsys.readouterr().err.splitlines()[-1]
-    assert err.endswith(f"error: argument {flag}: invalid plain_number value: {value!r}")
+    assert err.endswith(f"error: argument {flag}: invalid float value: {value!r}")
     assert not list(tmp_path.iterdir())
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darl.cli import _parse_seeds, main
@@ -258,5 +258,7 @@ SEED_PIECES = (*"0123456789+-,_", *" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003\uf
 
 @settings(max_examples=200, deadline=None)
 @given(text=st.lists(st.sampled_from(SEED_PIECES), max_size=12).map("".join))
+@example(text="1" * 5000)  # beyond int()'s 4,300-digit parse limit
+@example(text="3, " + "1" * 5000)
 def test_parse_seeds_matches_int_per_item_parser(text):
     assert seeds_outcome(_parse_seeds, text) == seeds_outcome(int_per_item_seeds, text)
