@@ -171,15 +171,15 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
 
     Always evaluated on the pristine fixture config (the published
     protocol), regardless of run-time overrides, so the recorded
-    discrepancy is stable. Every mode reads the run's own fits unless an
-    override other than the mode and the seeds changed them; a --seeds
-    subset leaves only the other seeds to fit.
+    discrepancy is stable. Only the published rows' seeds are evaluated:
+    from the run's fits when no override but the mode and the seeds
+    changed them, and the block fits whichever seeds are still missing.
     """
-    pristine = fixture.config
-    if replace(config, darl_mode=pristine.darl_mode, seeds=pristine.seeds) != pristine:
-        fits = fit_seeds(pristine)
-    elif rest := tuple(seed for seed in pristine.seeds if seed not in config.seeds):
-        fits = [*fits, *fit_seeds(replace(pristine, seeds=rest))]
+    pristine, published = fixture.config, {pub.seed for pub in fixture.reported_rows}
+    lends = replace(config, darl_mode=pristine.darl_mode, seeds=pristine.seeds) == pristine
+    fits = [sf for sf in fits if lends and sf.seed in published]
+    if rest := tuple(published.difference(sf.seed for sf in fits)):
+        fits += fit_seeds(replace(pristine, seeds=rest))
     rows = [
         {
             "target_length_m": pub.target_length_m,

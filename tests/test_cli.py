@@ -608,21 +608,41 @@ def test_run_draws_and_fits_each_seed_once(tmp_path, capsys, monkeypatch):
     assert len(series_calls) == len(fit_calls) == len(seeds) == 5
 
 
-def test_run_seeds_subset_fits_each_seed_once(tmp_path, capsys, monkeypatch):
-    # the discrepancy block reuses the run's seed 3 and 5 fits and fits only 17, 257 and 65537
+# The run fits its own seeds; the discrepancy block fits only the published rows' seeds
+# (5 on experiment-a, 5 and 17 on experiment-b) that the run's fits cannot lend it.
+@pytest.mark.parametrize("override, fits", [
+    ([], (5, 5)),
+    (["--darl-mode", "span-over-phi-r2"], (5, 5)),
+    (["--sort-order", "desc"], (5, 5)),
+    (["--n-override", "600"], (6, 7)),
+    (["--n-override", "540"], (6, 7)),
+    (["--sort-order", "asc"], (6, 7)),
+    (["--seeds", "3,5"], (2, 3)),
+    (["--seeds", "257"], (2, 3)),
+    (["--seeds", "17"], (2, 2)),
+    (["--seeds", "65537,3"], (3, 4)),
+    (["--seeds", "5", "--sort-order", "asc"], (2, 3)),
+])
+@pytest.mark.parametrize("fixture", ["experiment-a", "experiment-b"])
+def test_run_fixture_fits_each_needed_seed_once(tmp_path, capsys, monkeypatch, fixture, override, fits):
     series_calls = counting(monkeypatch, "uniform_series")
     fit_calls = counting(monkeypatch, "fit_ols")
-    assert main(["run", "--fixture", "experiment-b", "--seeds", "3,5", "--format", "json",
-                 "--out-dir", str(tmp_path)]) == 0
+    assert main(["run", "--fixture", fixture, "--format", "json",
+                 "--out-dir", str(tmp_path), *override]) == 0
     capsys.readouterr()
-    assert sorted(args[0] for args in series_calls) == [3, 5, 17, 257, 65537]
-    assert len(fit_calls) == 5
+    expected = fits[["experiment-a", "experiment-b"].index(fixture)]
+    assert len(series_calls) == len(fit_calls) == expected
 
 
-@pytest.mark.parametrize("override", [["--n-override", "600"], ["--seeds", "3,5"]])
+@pytest.mark.parametrize("override", [
+    ["--n-override", "600"], ["--seeds", "3,5"], ["--sort-order", "asc"],
+    ["--n-override", "540"], ["--seeds", "257"],
+])
 @pytest.mark.parametrize("fixture", ["experiment-a", "experiment-b"])
 def test_run_override_keeps_pristine_discrepancy_report(tmp_path, capsys, fixture, override):
-    # experiment-b publishes a seed-17 row, which a --seeds 3,5 run never fits
+    # experiment-b publishes a seed-17 row, which a --seeds 3,5 run never fits; --n-override 540
+    # is experiment-a's own n, yet sets a field the pristine config leaves unset; --seeds 257
+    # shares no seed with the published rows
     def discrepancy(*extra):
         assert main(["run", "--fixture", fixture, "--format", "json",
                      "--out-dir", str(tmp_path), *extra]) == 0
