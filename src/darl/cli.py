@@ -295,11 +295,13 @@ def cmd_generate(args) -> int:
     order = _ORDER_FLAGS[args.order]
     values = uniform_series(args.seed, args.n, args.min, args.max, order)
     text = render_series_csv(values)
-    if args.out is not None:
+    if args.out is None:
+        path = _write_artifact(args.out_dir, f"series-seed{args.seed}-n{args.n}-{args.order}.csv", text)
+    elif args.out:
         path = Path(args.out)
         path.write_bytes(text.encode("utf-8"))
-    else:
-        path = _write_artifact(args.out_dir, f"series-seed{args.seed}-n{args.n}-{args.order}.csv", text)
+    else:  # Path("") is the current directory, which write_bytes cannot open
+        raise ValidationError("--out must not be empty")
     print(f"wrote {path} ({len(values)} values, {order})")
     return 0
 

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .prng import (KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, SORT_ORDERS, TEMPERATURE_LIMIT_C,
                    uniform_series)
-from .regression import LinearFit, fit_ols, predict_at
+from .regression import LinearFit, fit_lines, predict_at
 from .stats import relative_error, rmse
 
 #: Longest pipe accepted, metres: MAX_SAMPLE_COUNT at one sample per centimetre.
@@ -229,15 +229,13 @@ class SeedFit:
 def fit_seeds(config: ExperimentConfig) -> list[SeedFit]:
     """One series and one fit per seed, in seed order; a degenerate series raises.
 
-    Every seed is fitted against the same length grid, x_i = i*L/(n-1) over [0, L].
+    Every seed is fitted against one length grid, x_i = i*L/(n-1) over [0, L], in one fit_lines call.
     """
     n = config.sample_count()
     grid = np.arange(n, dtype=np.float64) * config.total_length_m / (n - 1)
-    out: list[SeedFit] = []
-    for seed in sorted(config.seeds):
-        values = build_series(config, seed)
-        out.append(SeedFit(seed, values, fit_ols(np.column_stack((grid, values)))))
-    return out
+    seeds = sorted(config.seeds)
+    series = [build_series(config, seed) for seed in seeds]
+    return [SeedFit(*item) for item in zip(seeds, series, fit_lines(grid, series))]
 
 
 def predict(config: ExperimentConfig, fits: Iterable[SeedFit]) -> list[PredictionRecord]:

@@ -3,11 +3,11 @@
 The fit is the plain closed-form simple regression, computed with centered
 (two-pass) sums. Sorted synthetic series are nearly collinear, and the
 centered form avoids the cancellation that the naive sum-of-products formula
-suffers there. :func:`fit_ols` takes an ``(n, 2)`` float array of (x, y) rows
-or any iterable of (x, y) pairs. Each sum is correctly rounded: it equals
-``math.fsum`` of its terms. It is taken exactly per binary exponent from 1,200
-to 2^26 terms, and by ``fsum`` for other counts, a term of 2^990 or more, or a
-zero or non-finite sum.
+suffers there. :func:`fit_lines` takes a run's length-grid sums once and fits
+each seed's series against them; :func:`fit_ols` fits an ``(n, 2)`` float array
+of (x, y) rows or any iterable of (x, y) pairs. Each sum equals ``math.fsum`` of
+its terms: it is taken exactly per binary exponent from 1,200 to 2^26 terms, and
+by ``fsum`` for other counts, a term of 2^990 or more, or a zero or non-finite sum.
 """
 
 from __future__ import annotations
@@ -69,36 +69,46 @@ def fit_ols(points: np.ndarray | Iterable[tuple[float, float]]) -> LinearFit:
     xy = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64)
     if xy.size and (xy.ndim != 2 or xy.shape[1] != 2):
         raise ShapeMismatch(f"points must form an (n, 2) array, got shape {xy.shape}")
-    if not np.isfinite(xy).all():
+    xy = xy.reshape(-1, 2)
+    return fit_lines(xy[:, 0], [xy[:, 1]])[0]
+
+
+def fit_lines(x: np.ndarray, ys: Iterable[np.ndarray]) -> list[LinearFit]:
+    """:func:`fit_ols`'s line for each series in ``ys`` against one 1-D ``x`` of their length."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    ys = [np.ascontiguousarray(y, dtype=np.float64) for y in ys]
+    # fit_ols's checks in its order; the sums of x are then taken once for every series
+    if not (np.isfinite(x).all() and all(np.isfinite(y).all() for y in ys)):
         raise ValidationError("points must be finite numbers")
-    n = len(xy) if xy.size else 0
+    n = len(x)
     if n < 2:
         raise InsufficientSamples(f"regression needs at least 2 points, got {n}")
-    x, y = xy[:, 0], xy[:, 1]
     if (x == x[0]).all():
         raise DegenerateAbscissa("all x values are identical")
-    if (y == y[0]).all():
+    if any((y == y[0]).all() for y in ys):
         raise DegenerateVariance("all y values are identical")
 
     x_bar = _exact_sum(x) / n
-    y_bar = _exact_sum(y) / n
     dx = x - x_bar
-    dy = y - y_bar
     s_xx = _exact_sum(dx * dx)
-    s_xy = _exact_sum(dx * dy)
-    s_st = _exact_sum(dy * dy)
     if s_xx == 0.0:
         raise DegenerateAbscissa("the spread of x underflows to zero")
-    if s_st == 0.0:
-        raise DegenerateVariance("zero total variance in y")
-
-    beta = s_xy / s_xx
-    alpha = y_bar - beta * x_bar
-    residual = y - alpha - beta * x
-    sse = _exact_sum(residual * residual)
-    # roundoff can push 1 - SSE/SST a hair outside [0, 1]; pin it
-    r_squared = min(1.0, max(0.0, 1.0 - sse / s_st))
-    return LinearFit(alpha=alpha, beta=beta, r_squared=r_squared, n=n)
+    fits: list[LinearFit] = []
+    for y in ys:
+        y_bar = _exact_sum(y) / n
+        dy = y - y_bar
+        s_xy = _exact_sum(dx * dy)
+        s_st = _exact_sum(dy * dy)
+        if s_st == 0.0:
+            raise DegenerateVariance("zero total variance in y")
+        beta = s_xy / s_xx
+        alpha = y_bar - beta * x_bar
+        residual = y - alpha - beta * x
+        sse = _exact_sum(residual * residual)
+        # roundoff can push 1 - SSE/SST a hair outside [0, 1]; pin it
+        r_squared = min(1.0, max(0.0, 1.0 - sse / s_st))
+        fits.append(LinearFit(alpha=alpha, beta=beta, r_squared=r_squared, n=n))
+    return fits
 
 
 def predict_at(fit: LinearFit, x: float) -> float:

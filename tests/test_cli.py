@@ -587,25 +587,33 @@ def test_run_fixture_artifacts_match_pinned_hashes(tmp_path, capsys, fixture, mo
     assert digests == PINNED_ARTIFACTS[(fixture, mode)]
 
 
-def counting(monkeypatch, name):
+def counting(monkeypatch, name, module=darl.model):
     calls = []
-    original = getattr(darl.model, name)
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(darl.model, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def fitted_series(batches, fit_seeds_calls):
+    """The series count of the recorded fit_lines calls, each of which fits one fit_seeds call's seeds."""
+    assert len(batches) == len(fit_seeds_calls)
+    return sum(len(series) for _, series in batches)
 
 
 def test_run_draws_and_fits_each_seed_once(tmp_path, capsys, monkeypatch):
     series_calls = counting(monkeypatch, "uniform_series")
-    fit_calls = counting(monkeypatch, "fit_ols")
+    batches = counting(monkeypatch, "fit_lines")
+    fit_seeds_calls = counting(monkeypatch, "fit_seeds", darl.cli)
     assert main(["run", "--fixture", "experiment-b", "--format", "json",
                  "--out-dir", str(tmp_path)]) == 0
     seeds = json.loads(capsys.readouterr().out)["config"]["seeds"]
-    assert len(series_calls) == len(fit_calls) == len(seeds) == 5
+    assert len(series_calls) == fitted_series(batches, fit_seeds_calls) == len(seeds) == 5
+    assert len(batches) == 1
 
 
 # The run fits its own seeds; the discrepancy block fits only the published rows' seeds
@@ -626,12 +634,13 @@ def test_run_draws_and_fits_each_seed_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("fixture", ["experiment-a", "experiment-b"])
 def test_run_fixture_fits_each_needed_seed_once(tmp_path, capsys, monkeypatch, fixture, override, fits):
     series_calls = counting(monkeypatch, "uniform_series")
-    fit_calls = counting(monkeypatch, "fit_ols")
+    batches = counting(monkeypatch, "fit_lines")
+    fit_seeds_calls = counting(monkeypatch, "fit_seeds", darl.cli)
     assert main(["run", "--fixture", fixture, "--format", "json",
                  "--out-dir", str(tmp_path), *override]) == 0
     capsys.readouterr()
     expected = fits[["experiment-a", "experiment-b"].index(fixture)]
-    assert len(series_calls) == len(fit_calls) == expected
+    assert len(series_calls) == fitted_series(batches, fit_seeds_calls) == expected
 
 
 @pytest.mark.parametrize("override", [
@@ -894,6 +903,14 @@ def test_empty_out_dir_is_an_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out-dir", ""]) == 2
     assert capsys.readouterr() == ("", "error: --out-dir must not be empty\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_empty_out_is_an_error(capsys, tmp_path, monkeypatch):
+    # Path("") is the current directory too; writing to it failed with exit 3 and a raw errno
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--seed", "3", "--n", "5", "--min", "24", "--max", "31", "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --out must not be empty\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -32,7 +32,7 @@ from darl.model import (
     run_configuration,
 )
 from darl.prng import MAX_SAMPLE_COUNT, uniform_series
-from darl.regression import fit_ols
+from darl.regression import fit_lines, fit_ols
 
 
 def config_a(**overrides):
@@ -187,22 +187,22 @@ def test_build_series_grid_and_pairing(monkeypatch):
     assert isinstance(series, np.ndarray) and len(series) == 540
     assert series.min() >= 25.81 and series.max() <= 31.01
     assert len(build_series(config_a(n_override=538), 5)) == 538
-    # fit_seeds pairs every seed's series with one length grid over [0, L]
-    points = []
+    # fit_seeds pairs every seed's series with one length grid over [0, L], in one fit_lines call
+    batches = []
 
-    def recording_fit(xy):
-        points.append(xy)
-        return fit_ols(xy)
+    def recording_fit(x, ys):
+        batches.append((x, ys))
+        return fit_lines(x, ys)
 
-    monkeypatch.setattr(darl.model, "fit_ols", recording_fit)
+    monkeypatch.setattr(darl.model, "fit_lines", recording_fit)
     fits = fit_seeds(config)
-    grid = points[0][:, 0]
+    assert len(batches) == 1
+    grid, series = batches[0]
     assert grid[0] == 0.0
     assert abs(grid[-1] - 5.4) < 1e-12
     assert np.all(np.diff(grid) > 0.0)
-    for sf, xy in zip(fits, points, strict=True):
-        assert np.array_equal(xy[:, 0], grid)
-        assert np.array_equal(xy[:, 1], build_series(config, sf.seed))
+    for sf, values in zip(fits, series, strict=True):
+        assert np.array_equal(values, build_series(config, sf.seed))
 
 
 def test_flat_series_degenerates_downstream():

@@ -16,7 +16,7 @@ from darl.errors import (DegenerateAbscissa, DegenerateVariance, InsufficientSam
 from darl.ingest import load_fixture
 from darl.model import ExperimentConfig, build_series, fit_seeds
 from darl.prng import KNOWN_FERMAT_PRIMES, SORT_ORDERS
-from darl.regression import LinearFit, _exact_sum, fit_ols, predict_at
+from darl.regression import LinearFit, _exact_sum, fit_lines, fit_ols, predict_at
 
 
 def ols_fraction_oracle(points):
@@ -75,7 +75,7 @@ def test_degenerate_inputs():
 
 
 def test_fit_ols_accepts_tuple_pairs():
-    # a list of (x, y) tuples, the zip of two columns, and the (n, 2) array fit_seeds passes
+    # a list of (x, y) tuples, the zip of two columns, and an (n, 2) array
     listed = fit_ols([(0.0, 1.0), (1.0, 2.0), (2.0, 2.0)])
     zipped = fit_ols(zip([0.0, 1.0, 2.0], [1.0, 2.0, 2.0]))
     stacked = fit_ols(np.column_stack(([0.0, 1.0, 2.0], [1.0, 2.0, 2.0])))
@@ -139,7 +139,7 @@ def sum_inputs(draw):
         values[rng.integers(0, n, len(planted))] = planted
     if draw(st.booleans()):
         values = np.sort(values)
-    if draw(st.booleans()):  # a strided column view, as fit_ols passes x and y
+    if draw(st.booleans()):  # a strided column view, such as a column of fit_ols's (n, 2) points
         values = np.column_stack((values, np.ones(n)))[:, 0]
     return values
 
@@ -158,6 +158,61 @@ def fsum_outcome(sum_function, values):
 @example(values=np.array([1e308, 1e308, -1e308, -1e308, 1.0] * 300))  # fsum overflows midway
 def test_exact_sum_equals_fsum(values):
     assert fsum_outcome(_exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
+
+
+@st.composite
+def shared_abscissa_series(draw):
+    """An abscissa and 1-5 sorted series over it, on both sides of 1,200 values, some as strided views."""
+    n = draw(st.integers(2, 1_199) | st.integers(1_200, 2_600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # a length grid, as fit_seeds fits against
+        x = np.arange(n, dtype=np.float64) * draw(st.sampled_from((5.4, 8.3, 100.0))) / (n - 1)
+    else:
+        x = rng.uniform(-100.0, 100.0, n)
+    ys = [np.sort(rng.uniform(25.81, 31.01, n)) for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.sampled_from(SORT_ORDERS)) == "descending":
+        ys = [np.ascontiguousarray(y[::-1]) for y in ys]
+    if draw(st.booleans()):  # strided column views of one (n, k + 1) array
+        columns = np.column_stack((x, *ys))
+        x, ys = columns[:, 0], [columns[:, i] for i in range(1, len(ys) + 1)]
+    return x, ys
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=shared_abscissa_series())
+def test_fit_lines_equals_reference_and_fit_ols_per_series(case):
+    x, ys = case
+    fits = fit_lines(x, ys)
+    assert len(fits) == len(ys)
+    for y, fit in zip(ys, fits, strict=True):
+        assert fit == centered_fsum_reference(x.tolist(), y.tolist())
+        assert fit == fit_ols(np.column_stack((x, y)))
+
+
+def test_fit_lines_raises_in_fit_ols_order():
+    rng = np.random.default_rng(20)
+    x = np.arange(540) * 5.4 / 539
+    ys = [np.sort(rng.uniform(25.81, 31.01, 540)) for _ in range(5)]
+    flat, tiny = np.full(540, 25.0), np.arange(540) * 1e-310
+    with_nan = ys[2].copy()
+    with_nan[7] = math.nan
+    # a non-finite value in series 3 of 5 comes first, even after a flat series
+    with pytest.raises(ValidationError, match="finite"):
+        fit_lines(x, [ys[0], ys[1], with_nan, ys[3], ys[4]])
+    with pytest.raises(ValidationError, match="finite"):
+        fit_lines(x, [ys[0], flat, with_nan, ys[3], ys[4]])
+    with pytest.raises(InsufficientSamples):
+        fit_lines(x[:1], [flat[:1]])
+    # a constant x comes before a flat series and before a series whose spread underflows
+    with pytest.raises(DegenerateAbscissa, match="identical"):
+        fit_lines(np.full(540, 2.5), [ys[0], flat, tiny])
+    with pytest.raises(DegenerateAbscissa, match="underflows"):
+        fit_lines(tiny, [ys[0], tiny])
+    with pytest.raises(DegenerateVariance, match="identical"):
+        fit_lines(x, [ys[0], ys[1], tiny, flat])
+    with pytest.raises(DegenerateVariance, match="zero total variance"):
+        fit_lines(x, [ys[0], ys[1], tiny])
+    assert fit_lines(x, []) == []
 
 
 @pytest.mark.parametrize("y", [[math.nan, 2.0, 3.0], [math.inf, 2.0, -math.inf]], ids=["nan", "inf-and-minus-inf"])
