@@ -15,7 +15,7 @@ from darl.errors import (DegenerateAbscissa, DegenerateVariance, InsufficientSam
                          ValidationError)
 from darl.ingest import load_fixture
 from darl.model import ExperimentConfig, build_series, fit_seeds
-from darl.prng import KNOWN_FERMAT_PRIMES, SORT_ORDERS
+from darl.prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, SORT_ORDERS
 from darl.regression import LinearFit, _exact_sum, fit_lines, fit_ols, predict_at
 
 
@@ -109,8 +109,9 @@ def test_fixture_fits_equal_pure_python_reference_bit_for_bit(fixture):
         assert seed_fit.fit == centered_fsum_reference(grid, series.tolist())
 
 
-# both sides of 1,000 and of 1,200, from where _exact_sum sums per binary exponent, and two long-sweep sizes
-@pytest.mark.parametrize("n", [999, 1000, 1199, 1200, 6000, 10000])
+# both sides of 1,000, from where _exact_sum sums by extraction rather than by fsum, then sizes up to
+# long-sweep's 10,000
+@pytest.mark.parametrize("n", [999, 1000, 1001, 1199, 1200, 2000, 6000, 10000])
 @pytest.mark.parametrize("order", SORT_ORDERS)
 def test_large_fits_equal_pure_python_reference_bit_for_bit(n, order):
     config = ExperimentConfig(t_in_c=31.01, t_end_c=25.81, t_w_c=24.28, total_length_m=n / 100,
@@ -127,9 +128,13 @@ SPECIAL_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1
 
 @st.composite
 def sum_inputs(draw):
-    """A 1-D float64 array: random values at one scale, with a few special values planted."""
-    n = draw(st.integers(0, 1_199) | st.integers(1_200, 2_600))
-    scale = draw(st.sampled_from((0.0, 1e-310, 1e-300, 1e-20, 1.0, 31.01, 1e20, 1e298, 1e300, 1e308)))
+    """A 1-D float64 array: random values at one scale, with a few special values planted.
+
+    Its length lies on either side of 1,000, from where _exact_sum sums by extraction; 8e270
+    stays just under extraction's 2^900 limit, and 1e298 and above go to fsum.
+    """
+    n = draw(st.integers(0, 999) | st.integers(1_000, 2_600))
+    scale = draw(st.sampled_from((0.0, 1e-310, 1e-300, 1e-20, 1.0, 31.01, 1e20, 8e270, 1e298, 1e300, 1e308)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = scale * rng.uniform(-1.0 if draw(st.booleans()) else 0.0, 1.0, n)
     if draw(st.booleans()):  # spread the values over some 60 binary exponents
@@ -160,10 +165,44 @@ def test_exact_sum_equals_fsum(values):
     assert fsum_outcome(_exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
 
 
+def exact_sum_edge_cases():
+    """(id, array) pairs for the extraction's limits, each of at least 1,000 values."""
+    rng = np.random.default_rng(2008)
+    subnormals = rng.integers(-2**52, 2**52, 1_500) * 5e-324  # exact multiples of 2^-1074
+    mixed = subnormals.copy()
+    mixed[::7] = rng.uniform(-1.0, 1.0, len(mixed[::7]))
+    spread = rng.uniform(-1.0, 1.0, 1_500) * 2.0 ** rng.integers(-60, 1, 1_500)
+    below, above = math.nextafter(2.0**900, 0.0), 2.0**900
+    return [
+        ("negative-zeros", np.full(1_500, -0.0)),
+        ("signed-zeros", np.array([0.0, -0.0] * 750)),
+        ("subnormals", subnormals),
+        ("subnormals-and-normals", mixed),
+        ("just-under-2^900", np.concatenate(([below, -below, below], spread))),
+        ("at-2^900", np.concatenate(([above, -above, above], spread))),
+        # 2(n + 2)·max|p| = 3,072: sigma = 2^12 sums the level, about -1,534, exactly; with 2^10 it
+        # would round there at a tie, which the 2^-60 decides
+        ("level-sum-near-sigma", np.array([-(0.75 + 3 * 2.0**-43), 2.0**-60] + [-(0.75 + 2.0**-43)] * 2_044)),
+        ("cancels-to-zero", np.concatenate((spread, -spread[::-1]))),
+        ("n-2^20", rng.uniform(25.81, 31.01, 2**20) * 2.0 ** rng.integers(-30, 1, 2**20)),
+        ("n-max-sample-count", rng.uniform(-2.6, 2.6, MAX_SAMPLE_COUNT) ** 2),
+        # a level each for 1, 2^-53 and four pairs that cancel; 1 + 2^-53 is a tie that rounds
+        # down to 1, and the 2^-400 left after six levels rounds it up
+        ("beyond-level-cap", np.array([1.0, 2.0**-53, *(s * 2.0**-e for e in (120, 180, 240, 300) for s in (1, -1)),
+                                       2.0**-400] + [0.0] * 1_200)),
+        ("spread-beyond-level-cap", rng.uniform(-1.0, 1.0, 1_500) * 2.0 ** rng.integers(-1_000, 1, 1_500)),
+    ]
+
+
+@pytest.mark.parametrize("values", [pytest.param(a, id=name) for name, a in exact_sum_edge_cases()])
+def test_exact_sum_equals_fsum_at_extraction_limits(values):
+    assert fsum_outcome(_exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
+
+
 @st.composite
 def shared_abscissa_series(draw):
-    """An abscissa and 1-5 sorted series over it, on both sides of 1,200 values, some as strided views."""
-    n = draw(st.integers(2, 1_199) | st.integers(1_200, 2_600))
+    """An abscissa and 1-5 sorted series over it, on both sides of 1,000 values, some as strided views."""
+    n = draw(st.integers(2, 999) | st.integers(1_000, 2_600))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):  # a length grid, as fit_seeds fits against
         x = np.arange(n, dtype=np.float64) * draw(st.sampled_from((5.4, 8.3, 100.0))) / (n - 1)
