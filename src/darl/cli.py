@@ -9,6 +9,7 @@ on stderr only so it never perturbs the artifacts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -51,16 +52,24 @@ _ORDER_FLAGS = {"asc": "ascending", "desc": "descending"}
 MAX_INPUT_BYTES = 32 * MAX_SAMPLE_COUNT
 
 
-def _write_artifact(out_dir: str, filename: str, text: str) -> Path:
-    if not out_dir:  # Path("") is the current directory
-        raise ValidationError("--out-dir must not be empty")
-    try:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise NotADirectoryError(f"--out-dir {out_dir} is not a directory") from None
-    path = Path(out_dir, filename)
-    path.write_bytes(text.encode("utf-8"))
-    return path
+def _write_artifact(out_dir: str | None, filename: str, text: str) -> str:
+    """Write text to filename in out_dir (created if missing; None: as given), in place: without
+    O_TRUNC, whose flush of a file that held data cost several writes on ext4 mounted with ``discard``
+    (a temporary file and a rename cost as much), and cut after the write. A run killed mid-write can
+    leave new bytes followed by the old tail, where O_TRUNC would leave a short file; neither is atomic."""
+    if out_dir is not None:
+        if not out_dir:  # Path("") is the current directory
+            raise ValidationError("--out-dir must not be empty")
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise NotADirectoryError(f"--out-dir {out_dir} is not a directory") from None
+        filename = os.path.join(out_dir, filename)
+    with open(os.open(filename, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        # the size is the old file's or, past the buffer, at least the new; a device or pipe reads 0
+        if handle.write(text.encode("utf-8")) < os.fstat(handle.fileno()).st_size:
+            handle.truncate()
+    return filename
 
 
 def _header(source: str) -> dict:
@@ -70,7 +79,7 @@ def _header(source: str) -> dict:
 def _read_input(path: str) -> bytes:
     """A file's bytes up to the cap, in 64 KiB reads (read(n) allocates n bytes); /dev/zero ends too."""
     data = bytearray()
-    with Path(path).open("rb") as handle:
+    with open(path or ".", "rb") as handle:  # Path("") was the current directory: the same error
         while len(data) <= MAX_INPUT_BYTES and (chunk := handle.read(1 << 16)):
             data += chunk
     if len(data) > MAX_INPUT_BYTES:
@@ -176,7 +185,7 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
     changed them, and the block fits whichever seeds are still missing.
     """
     pristine, published = fixture.config, {pub.seed for pub in fixture.reported_rows}
-    lends = replace(config, darl_mode=pristine.darl_mode, seeds=pristine.seeds) == pristine
+    lends = {**vars(config), "darl_mode": pristine.darl_mode, "seeds": pristine.seeds} == vars(pristine)
     fits = [sf for sf in fits if lends and sf.seed in published]
     if rest := tuple(published.difference(sf.seed for sf in fits)):
         fits += fit_seeds(replace(pristine, seeds=rest))
@@ -192,7 +201,8 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
     ]
     computed_rmse = {}
     for mode in DARL_MODES:
-        comps = compare_with_reference(predict(replace(pristine, darl_mode=mode), fits), fixture.reference)
+        mode_config = pristine if mode == pristine.darl_mode else replace(pristine, darl_mode=mode)
+        comps = compare_with_reference(predict(mode_config, fits), fixture.reference)
         by_row = {(c.seed, c.target_length_m): c for c in comps}
         pairs = [by_row[row["seed"], row["target_length_m"]] for row in rows]
         for row, c in zip(rows, pairs):
@@ -294,14 +304,10 @@ def _run_tables(report: dict) -> str:
 def cmd_generate(args) -> int:
     order = _ORDER_FLAGS[args.order]
     values = uniform_series(args.seed, args.n, args.min, args.max, order)
-    text = render_series_csv(values)
-    if args.out is None:
-        path = _write_artifact(args.out_dir, f"series-seed{args.seed}-n{args.n}-{args.order}.csv", text)
-    elif args.out:
-        path = Path(args.out)
-        path.write_bytes(text.encode("utf-8"))
-    else:  # Path("") is the current directory, which write_bytes cannot open
+    if args.out == "":  # os.open("") fails with a raw errno
         raise ValidationError("--out must not be empty")
+    name = args.out or f"series-seed{args.seed}-n{args.n}-{args.order}.csv"
+    path = _write_artifact(None if args.out else args.out_dir, name, render_series_csv(values))
     print(f"wrote {path} ({len(values)} values, {order})")
     return 0
 
@@ -368,7 +374,7 @@ def cmd_validate(args) -> int:
         if args.n_override is not None:
             raise ValidationError("--n-override does not apply to a --series file")
         values = load_series_csv(_read_input(args.series))
-        source = Path(args.series).name
+        source = os.path.basename(args.series)
         rows.append({"source": source, **_distribution_stats(values)})
     else:
         source, config, _, _ = _resolve_inputs(args)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -107,6 +108,7 @@ class Fixture:
     reported_rmse_c: float
 
 
+@functools.cache  # immutable package data; an unknown name raises, so it is not cached
 def load_fixture(name: str) -> Fixture:
     """Load a packaged fixture by name; UnknownFixture for anything else."""
     if name not in FIXTURE_NAMES:

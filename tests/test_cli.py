@@ -16,6 +16,7 @@ import pytest
 import darl.cli
 import darl.model
 from darl.cli import main
+from darl.errors import UnknownFixture
 from darl.ingest import load_config, load_fixture
 from darl.model import ExperimentConfig, run_configuration
 from darl.prng import MAX_SAMPLE_COUNT, MersenneTwister
@@ -1065,3 +1066,66 @@ def test_generated_csv_matches_pinned_hash(pinned_inputs):
     digests = {name: hashlib.sha256((pinned_inputs / name).read_bytes()).hexdigest()
                for name in GENERATED_CSV_SHA256}
     assert digests == GENERATED_CSV_SHA256
+
+
+# An artifact is rewritten in place: opened without O_TRUNC and cut after the write, so a longer
+# file already at its path must leave no stale tail.
+STALE = os.urandom(1 << 16)
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["run", "--fixture", "experiment-b", "--darl-mode", "as-printed", "--format", "json", "--out-dir", "out"],
+     {"out/experiment-b-report.json": PINNED_ARTIFACTS["experiment-b", "as-printed"][0],
+      "out/experiment-b-plot.csv": PINNED_ARTIFACTS["experiment-b", "as-printed"][1]}),
+    (["sweep", "--fixture", "experiment-a", "--format", "json", "--out-dir", "out"],
+     {"out/experiment-a-sweep.json": STDOUT_PINS["sweep-a-json"][1]}),
+    (["generate", "--seed", "5", "--n", "538", "--min", "25.81", "--max", "31.01", "--out", "series.csv"],
+     {"series.csv": GENERATED_CSV_SHA256["series.csv"]}),
+    (["generate", "--seed", "5", "--n", "538", "--min", "25.81", "--max", "31.01", "--out-dir", "out"],
+     {"out/series-seed5-n538-asc.csv": GENERATED_CSV_SHA256["series.csv"]}),
+], ids=["run", "sweep", "generate-out", "generate-out-dir"])
+def test_rewrite_over_a_longer_file_leaves_no_stale_tail(tmp_path, capsys, monkeypatch, argv, files):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    for name in files:
+        (tmp_path / name).write_bytes(STALE)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
+    assert digests == files
+    if "--format" in argv:  # the report or sweep document is also the stdout
+        assert (tmp_path / next(iter(files))).read_text() == out
+
+
+@pytest.mark.parametrize("argv, artifact", [
+    (["run", "--fixture", "experiment-a", "--out-dir", "out"], "out/experiment-a-report.json"),
+    (["sweep", "--fixture", "experiment-a", "--out-dir", "out"], "out/experiment-a-sweep.json"),
+    (["generate", "--seed", "3", "--n", "5", "--min", "24", "--max", "31", "--out", "out/s.csv"], "out/s.csv"),
+], ids=["run", "sweep", "generate"])
+def test_artifact_path_that_is_a_directory_exit_3(tmp_path, capsys, monkeypatch, argv, artifact):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / artifact).mkdir(parents=True)
+    assert main(argv) == 3
+    assert_one_error_line(capsys, f"Is a directory: '{artifact}'")
+    assert list((tmp_path / artifact).iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs a /dev/null device")
+def test_generate_out_to_a_device_exit_0(capsys):
+    # a device has no size to cut, so the writer leaves it untruncated
+    assert main(["generate", "--seed", "3", "--n", "5", "--min", "24", "--max", "31", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out == "wrote /dev/null (5 values, ascending)\n"
+
+
+def test_load_fixture_is_memoised_and_an_unknown_name_is_not(capsys):
+    for name in ("experiment-a", "experiment-b"):
+        assert load_fixture(name) is load_fixture(name)
+    cached = load_fixture.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(UnknownFixture, match="unknown fixture 'experiment-c'"):
+            load_fixture("experiment-c")
+    assert load_fixture.cache_info().currsize == cached
+    for _ in range(2):  # the listing reads the shared fixtures and leaves them as they were
+        assert main(["fixtures", "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == STDOUT_PINS["fixtures-json"][1]
