@@ -6,6 +6,19 @@ statistics used to judge it (Shapiro-Wilk, RMSE, relative error,
 quartiles), with built-in experiment fixtures and a CLI.
 """
 
+import os as _os
+import sys as _sys
+
+# numpy's OpenBLAS starts a worker pool that spins idle for ~0.1 s of CPU, and darl's BLAS calls are small 1-D dots:
+# load numpy with one thread unless it is loaded or a count was chosen. OpenBLAS reads the variable only at load.
+_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in _sys.modules and not _THREAD_VARS & set(_os.environ):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     DarlError,
     DegenerateAbscissa,

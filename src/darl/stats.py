@@ -17,13 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateVariance,
-    DivisionByZero,
-    InsufficientSamples,
-    ShapeMismatch,
-    UnsupportedSampleSize,
-)
+from .errors import (DegenerateVariance, DivisionByZero, InsufficientSamples, ShapeMismatch, UnsupportedSampleSize,
+                     ValidationError)
 
 _NORMAL = NormalDist()
 
@@ -103,12 +98,15 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
     W is the squared correlation between the sorted sample and the
     normalised expected normal order statistics; the p-value comes from the
     log-normal approximation to 1 - W. Raises UnsupportedSampleSize outside
-    the supported range and DegenerateVariance for constant input.
+    the supported range, ValidationError for a NaN or infinite value and
+    DegenerateVariance for constant input.
     """
     n = len(values)
     if n < _MIN_N or n > _MAX_N:
         raise UnsupportedSampleSize(f"sample size {n} outside supported range [{_MIN_N}, {_MAX_N}]")
     x = np.sort(np.asarray(values, dtype=float))
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):  # NaN sorts last, -inf first
+        raise ValidationError("sample values must be finite numbers")
     if x[-1] - x[0] < 1e-19:
         raise DegenerateVariance("sample has zero range")
 
@@ -179,10 +177,12 @@ def _quantile_type7(sorted_values: np.ndarray, p: float) -> float:
 
 
 def quartile_summary(values: Sequence[float]) -> QuartileSummary:
-    """Quartiles by linear interpolation (the common "type 7" convention)."""
+    """Quartiles by linear interpolation (the common "type 7" convention); a NaN or infinity is a ValidationError."""
     data = np.sort(np.asarray(values, dtype=float), kind="stable")
     if not data.size:
         raise InsufficientSamples("quartiles of an empty sample are undefined")
+    if not (math.isfinite(data[0]) and math.isfinite(data[-1])):
+        raise ValidationError("sample values must be finite numbers")
     q1 = _quantile_type7(data, 0.25)
     q2 = _quantile_type7(data, 0.50)
     q3 = _quantile_type7(data, 0.75)

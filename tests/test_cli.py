@@ -441,6 +441,47 @@ def test_cli_import_loads_no_unneeded_modules():
     assert probe.stdout == "[]\n"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def threads_after(imports, **env):
+    """[task count, {thread variable: value}] of a child that runs ``import IMPORTS`` with only ENV's
+    thread variables set; a task is one OS thread, the main one or a BLAS worker."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("counts threads through /proc/self/task")
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         f"import {imports}, json, os; print(json.dumps([len(os.listdir('/proc/self/task')), "
+         f"{{k: v for k, v in os.environ.items() if k in {BLAS_THREAD_VARS}}}]))"],
+        capture_output=True, text=True, timeout=60,
+        env={**{k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}, **env},
+    )
+    assert probe.returncode == 0, probe.stderr
+    return json.loads(probe.stdout)
+
+
+@pytest.fixture(scope="module")
+def numpy_pool_tasks():
+    tasks, _ = threads_after("numpy")
+    if tasks == 1:
+        pytest.skip("numpy alone starts no BLAS worker thread here: no pool to observe")
+    return tasks
+
+
+def test_import_darl_starts_numpy_with_one_blas_thread(numpy_pool_tasks):
+    # the one-thread setting is gone again once numpy has loaded
+    assert threads_after("darl") == [1, {}]
+
+
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_import_darl_keeps_a_chosen_blas_thread_count(numpy_pool_tasks, var):
+    assert threads_after("darl", **{var: "2"}) == [2, {var: "2"}]
+
+
+def test_import_darl_after_numpy_keeps_its_blas_pool(numpy_pool_tasks):
+    assert threads_after("numpy, darl") == [numpy_pool_tasks, {}]
+
+
 def test_cli_import_without_site_loads_no_resource_machinery():
     # run without site, whose .pth hooks may load importlib.resources themselves
     paths = (Path(darl.__file__).parents[1], Path(np.__file__).parents[1])

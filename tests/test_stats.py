@@ -14,6 +14,7 @@ from darl.errors import (
     InsufficientSamples,
     ShapeMismatch,
     UnsupportedSampleSize,
+    ValidationError,
 )
 from darl.prng import KNOWN_FERMAT_PRIMES, MersenneTwister, uniform_series
 from darl.stats import _G, _poly, _sw_weights, quartile_summary, relative_error, rmse, shapiro_wilk
@@ -96,6 +97,34 @@ def test_log_one_minus_w_stays_below_gamma_for_small_n():
 def test_shapiro_wilk_constant_sample():
     with pytest.raises(DegenerateVariance):
         shapiro_wilk([2.0, 2.0, 2.0, 2.0])
+
+
+NON_FINITE_SAMPLES = pytest.mark.parametrize("sample", [
+    [1.0, 2.0, 3.5, math.nan],
+    [math.nan, 1.0, 2.0, 3.5],
+    [1.0, math.nan, 2.0, 3.5, 4.0],
+    [1.0, 2.0, 3.5, math.inf],
+    [-math.inf, 1.0, 2.0, 3.5],
+    [-math.inf, 1.0, math.nan, math.inf],
+    [2.0, 2.0, 2.0, math.nan],
+    [math.nan] * 5,
+    [-math.inf] * 3,
+    np.array([25.0, 26.0, np.inf, 27.0]),
+], ids=["nan-last", "nan-first", "nan-middle", "inf", "minus-inf", "all-kinds", "constant-and-nan",
+        "all-nan", "all-minus-inf", "array-inf"])
+
+
+@NON_FINITE_SAMPLES
+def test_shapiro_wilk_refuses_non_finite_values(sample):
+    # a NaN passes the zero-range check, since every comparison with it is false
+    with pytest.raises(ValidationError, match="finite"):
+        shapiro_wilk(sample)
+
+
+@NON_FINITE_SAMPLES
+def test_quartile_summary_refuses_non_finite_values(sample):
+    with pytest.raises(ValidationError, match="finite"):
+        quartile_summary(sample)
 
 
 def test_shapiro_wilk_result_ranges():
