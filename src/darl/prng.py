@@ -12,6 +12,10 @@ runs the init-by-array scheme, even for a scalar seed, whereas the
 reference scalar seeding is the Knuth multiplicative recurrence; and a key
 packed into one integer loses its high zero words, so :meth:`from_key`
 runs the reference init-by-array recurrence over the key as given.
+
+Prefix property: a fresh generator's ``draw_units(n)`` is the first n units
+of any longer draw of its seed (unit i takes words 2i and 2i+1), so
+:func:`uniform_series` cuts a Fermat prime seed's series from its kept stream.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ MAX_SAMPLE_COUNT = 1_000_000
 #: Largest temperature magnitude accepted, degrees C: far beyond any exchanger,
 #: and small enough that sums of squares over MAX_SAMPLE_COUNT values stay finite.
 TEMPERATURE_LIMIT_C = 1e6
+
+# Fermat prime seed -> its longest read-only unit stream drawn so far, at most 2^16 units (512 KiB);
+# no generator is kept, so concurrent callers may draw twice but never misread a stream
+_KEPT_UNITS = 1 << 16
+_kept_streams: dict[int, np.ndarray] = {}
 
 
 def _init_state(seed: int) -> list[int]:
@@ -117,6 +126,18 @@ class MersenneTwister(random.Random):
         return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
 
+def _units(seed: int, n: int) -> np.ndarray:
+    """The seed's first n units: a prefix of its kept stream, or a fresh draw, kept for a Fermat seed up to 2^16."""
+    kept = _kept_streams.get(seed)
+    if kept is not None and len(kept) >= n:
+        return kept[:n]
+    units = MersenneTwister(seed).draw_units(n)
+    if n <= _KEPT_UNITS and seed in KNOWN_FERMAT_PRIMES:
+        units.setflags(write=False)
+        _kept_streams[seed] = units
+    return units
+
+
 def uniform_series(
     seed: int,
     n: int,
@@ -142,8 +163,7 @@ def uniform_series(
     if order not in SORT_ORDERS:
         raise ValidationError(f"order must be one of {SORT_ORDERS}, got {order!r}")
 
-    units = MersenneTwister(seed).draw_units(n)
-    values = t_min + units * (t_max - t_min)
+    values = t_min + _units(seed, n) * (t_max - t_min)
     # guard the closed-bound contract against the last-ulp of the affine map
     np.clip(values, t_min, t_max, out=values)
     values.sort()

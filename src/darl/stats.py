@@ -107,6 +107,9 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
     x = np.sort(np.asarray(values, dtype=float))
     if not (math.isfinite(x[0]) and math.isfinite(x[-1])):  # NaN sorts last, -inf first
         raise ValidationError("sample values must be finite numbers")
+    # scaled by 2^-e to put max|x| in [0.5, 1): no sum of squares overflows, and W and p are those of x
+    # (a power of two rounds nothing unless a value turns subnormal, and then it is lost in the mean)
+    x = np.ldexp(x, -math.frexp(max(-x[0], x[-1]))[1])
     if x[-1] - x[0] < 1e-19:
         raise DegenerateVariance("sample has zero range")
 
@@ -148,7 +151,13 @@ def rmse(observed: Sequence[float], simulated: Sequence[float]) -> float:
         raise ShapeMismatch(f"length mismatch: {len(obs)} observed vs {len(sim)} simulated")
     if not obs:
         raise InsufficientSamples("rmse of empty vectors is undefined")
-    return math.sqrt(math.fsum((o - s) ** 2 for o, s in zip(obs, sim)) / len(obs))
+    # halved so no difference overflows, then scaled by 2^-f so the largest is in [0.5, 1) and no square over- or
+    # underflows needlessly; powers of two round nothing above 2^-1021, so only an RMSE beyond the float range
+    # overflows (to inf, in the last doubling). d * d, unlike libm's pow(d, 2), is correctly rounded.
+    halves = [0.5 * o - 0.5 * s for o, s in zip(obs, sim)]
+    f = math.frexp(max(map(abs, halves)))[1]
+    scaled = [math.ldexp(h, -f) for h in halves]
+    return 2.0 * math.ldexp(math.sqrt(math.fsum(d * d for d in scaled) / len(scaled)), f)
 
 
 def relative_error(observed: float, simulated: float) -> float:
@@ -173,7 +182,12 @@ def _quantile_type7(sorted_values: np.ndarray, p: float) -> float:
     below = float(sorted_values[lo])
     if frac == 0.0:
         return below
-    return below + frac * (float(sorted_values[lo + 1]) - below)
+    above = float(sorted_values[lo + 1])
+    # scaled by 2^-e to put max(|below|, |above|) in [0.5, 1), so the difference cannot overflow; exact, since
+    # a value that turns subnormal is one the other absorbs
+    e = math.frexp(max(abs(below), abs(above)))[1]
+    below, above = math.ldexp(below, -e), math.ldexp(above, -e)
+    return math.ldexp(below + frac * (above - below), e)
 
 
 def quartile_summary(values: Sequence[float]) -> QuartileSummary:

@@ -15,6 +15,7 @@ import pytest
 
 import darl.cli
 import darl.model
+import darl.prng
 from darl.cli import main
 from darl.errors import UnknownFixture
 from darl.ingest import load_config, load_fixture
@@ -1101,6 +1102,25 @@ def pinned_inputs(tmp_path, capsys, monkeypatch):
 def test_stdout_matches_pinned_hash(pinned_inputs, capsys, argv, digest):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_sweeps_in_one_process_cut_series_from_the_kept_streams(pinned_inputs, capsys):
+    # the 60 m sweep draws and keeps 6,000 units per seed, the 20 m sweep cuts 2,000 from them,
+    # and the 60 m sweep again reads the whole kept streams: its stdout must not change
+    darl.prng._kept_streams.clear()
+    write_config(pinned_inputs, "short", total_length_m=20.0)
+    argv, digest = STDOUT_PINS["sweep-config-60m-json"]
+    short_argv = [arg.replace("long.json", "short.json") for arg in argv]
+    digests = []
+    for args in (argv, short_argv, argv):
+        assert main(args) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests[0] == digests[2] == digest
+    assert {seed: len(kept) for seed, kept in darl.prng._kept_streams.items()} == dict.fromkeys(
+        (3, 5, 17, 257, 65537), 6_000)
+    darl.prng._kept_streams.clear()  # the 20 m sweep drawn fresh, as in a new process
+    assert main(short_argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digests[1]
 
 
 def test_generated_csv_matches_pinned_hash(pinned_inputs):

@@ -2,10 +2,15 @@
 
 import math
 import random
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darl import prng
 from darl.errors import InsufficientSamples, InvalidBounds, ValidationError
@@ -231,3 +236,95 @@ def test_uniform_series_property_battery():
         assert series.max() <= hi
         diffs = np.diff(series)
         assert np.all(diffs >= 0.0) if order == "ascending" else np.all(diffs <= 0.0)
+
+
+def fresh_series(seed, n, t_min, t_max, order):
+    """uniform_series built from a fresh generator's first n units, without the kept streams."""
+    values = t_min + MersenneTwister(seed).draw_units(n) * (t_max - t_min)
+    np.clip(values, t_min, t_max, out=values)
+    values.sort()
+    return values[::-1] if order == "descending" else values
+
+
+def assert_kept_streams_are_fresh_prefixes():
+    for seed, kept in prng._kept_streams.items():
+        assert seed in KNOWN_FERMAT_PRIMES
+        assert not kept.flags.writeable
+        assert len(kept) <= prng._KEPT_UNITS == 2**16
+        assert np.array_equal(kept, MersenneTwister(seed).draw_units(len(kept)))
+
+
+bounds = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(sorted)
+series_calls = st.tuples(st.one_of(st.sampled_from(KNOWN_FERMAT_PRIMES), st.integers(0, 2**32 - 1)),
+                         st.integers(2, 70_000), st.sampled_from(("ascending", "descending")), bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=st.lists(series_calls, min_size=1, max_size=6))
+@example(calls=[(3, 2**16 + 1, "ascending", [0.0, 1.0]), (3, 2**16, "descending", [-1.0, 1.0]),
+                (3, 70_000, "ascending", [24.0, 31.0]), (3, 2, "descending", [24.0, 31.0]),
+                (7, 1_000, "ascending", [24.0, 31.0])])
+def test_series_cut_from_kept_streams_equal_fresh_draws(calls):
+    # n runs past the 2^16 units kept per seed, in either order, so a call may extend a stream,
+    # cut a prefix from it or draw past the cap and keep nothing
+    prng._kept_streams.clear()
+    for seed, n, order, (t_min, t_max) in calls:
+        before = dict(prng._kept_streams)
+        series = uniform_series(seed, n, t_min, t_max, order)
+        assert not series.flags.writeable
+        assert np.array_equal(series, fresh_series(seed, n, t_min, t_max, order))
+        if seed not in KNOWN_FERMAT_PRIMES or n > prng._KEPT_UNITS:
+            assert prng._kept_streams.keys() == before.keys()
+            assert all(prng._kept_streams[key] is kept for key, kept in before.items())
+        else:
+            assert len(prng._kept_streams[seed]) >= n
+    assert_kept_streams_are_fresh_prefixes()
+
+
+def test_kept_streams_retain_only_five_arrays_of_at_most_2_16_units():
+    # 2.5 MiB by construction: other seeds and longer series are drawn fresh and kept nowhere
+    seeds = KNOWN_FERMAT_PRIMES + (7, 2**32 - 1)
+    for seed in seeds:  # the seeded-state memo is not what this measures
+        MersenneTwister(seed)
+    prng._kept_streams.clear()
+    tracemalloc.start()
+    try:
+        for n in (1_000, prng._KEPT_UNITS, prng._KEPT_UNITS + 1, 500):
+            for seed in seeds:
+                uniform_series(seed, n, 0.0, 1.0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept = sum(stream.nbytes for stream in prng._kept_streams.values())
+    assert sorted(prng._kept_streams) == sorted(KNOWN_FERMAT_PRIMES) and kept == 5 * 8 * 2**16
+    assert retained < kept + 64 * 1024, retained
+
+
+def test_concurrent_callers_of_one_seed_get_fresh_draw_series():
+    # four threads, more than the cores of a small runner, switching every microsecond, so that
+    # one extends seed 3's kept stream while others cut from it or replace it
+    prng._kept_streams.clear()
+    start = threading.Barrier(4)
+
+    def call_seed_3(thread_seed):
+        rng = random.Random(thread_seed)
+        start.wait(timeout=60)
+        mismatches = []
+        for _ in range(15):
+            n = rng.randint(2, 20_000)
+            order = rng.choice(("ascending", "descending"))
+            if not np.array_equal(uniform_series(3, n, 24.0, 31.0, order), fresh_series(3, n, 24.0, 31.0, order)):
+                mismatches.append((thread_seed, n, order))
+        return mismatches
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(call_seed_3, thread_seed) for thread_seed in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[]] * 4
+    assert list(prng._kept_streams) == [3]
+    assert_kept_streams_are_fresh_prefixes()

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darl.errors import (
     DegenerateVariance,
@@ -97,6 +99,55 @@ def test_log_one_minus_w_stays_below_gamma_for_small_n():
 def test_shapiro_wilk_constant_sample():
     with pytest.raises(DegenerateVariance):
         shapiro_wilk([2.0, 2.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("sample, reference", [
+    ([1e300, 2e300, 3.5e300, 4e300], [1.0, 2.0, 3.5, 4.0]),  # squares overflow
+    ([-1e308, 0.0, 1e308, 5.0], [-1.0, 0.0, 1.0, 5e-308]),  # so do the differences from the mean
+    ([1e-170, 2e-170, 3.5e-170, 4e-170], [1.0, 2.0, 3.5, 4.0]),  # the range is below 1e-19
+], ids=["1e300", "1e308", "1e-170"])
+def test_shapiro_wilk_finite_samples_at_extreme_scales(sample, reference):
+    result, expected = shapiro_wilk(sample), shapiro_wilk(reference)
+    assert 0.9 < result.w_statistic < 1.0 and 0.5 < result.p_value < 1.0
+    assert result.w_statistic == pytest.approx(expected.w_statistic, rel=1e-14)
+    assert result.p_value == pytest.approx(expected.p_value, rel=1e-12)
+
+
+def test_quartiles_and_rmse_whose_differences_overflow_stay_finite():
+    q = quartile_summary([-1e308, 1e308])
+    assert (q.q1, q.q2, q.q3, q.iqr) == (-5e307, 0.0, 5e307, 1e308)
+    assert rmse([1e308, 1e308], [-1e308, 1e308]) == math.sqrt(2.0) * 1e308
+    assert rmse([1e200], [-1e200]) == 2e200  # its square overflows
+    assert rmse([2e-160, 1e6], [0.0, 1e6]) == pytest.approx(2e-160 / math.sqrt(2.0), rel=1e-15)  # a subnormal square
+    assert rmse([1e308], [-1e308]) == math.inf  # 2e308 is beyond the float range
+
+
+# values m*2^(j-53), |m| < 2^53 and j in [-40, 123]: multiplied by 2^k for |k| <= 900 every one stays a
+# normal float, down to 2^-993, and finite, up to 2^1023; every result of such a sample is 2^k times
+# that of the sample, or the same for W and p
+scalable = st.builds(lambda m, j: math.ldexp(m, j - 53), st.integers(-2**53 + 1, 2**53 - 1), st.integers(-40, 123))
+powers = st.integers(-900, 900)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=st.lists(scalable, min_size=3, max_size=60).filter(lambda xs: max(xs) > min(xs)), k=powers)
+@example(sample=[1e300, 2e300, 3.5e300, 4e300], k=-900)
+@example(sample=[-2.0**123, 0.0, 2.0**123], k=900)
+def test_shapiro_wilk_and_quartiles_are_invariant_under_power_of_two_scaling(sample, k):
+    scaled = [math.ldexp(x, k) for x in sample]
+    assert shapiro_wilk(scaled) == shapiro_wilk(sample)
+    q, q_scaled = quartile_summary(sample), quartile_summary(scaled)
+    # the IQR of values near +-2^1023 may itself overflow, like the 2^k multiple of it
+    assert vars(q_scaled) == {name: value * 2.0 ** k for name, value in vars(q).items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(scalable, scalable), min_size=1, max_size=40), k=powers)
+@example(pairs=[(2.0**123, -2.0**123)], k=900)
+def test_rmse_is_scaled_by_a_power_of_two(pairs, k):
+    observed, simulated = zip(*pairs)
+    scaled = rmse([math.ldexp(x, k) for x in observed], [math.ldexp(x, k) for x in simulated])
+    assert scaled == rmse(observed, simulated) * 2.0 ** k
 
 
 NON_FINITE_SAMPLES = pytest.mark.parametrize("sample", [
