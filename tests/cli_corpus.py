@@ -4,8 +4,8 @@ Each command runs in process in an empty directory that holds only its input
 files, and is reduced to one sha256 over its exit code, its stdout, its stderr
 without the ``wall_time_s=`` line, and every file in the directory afterwards.
 ``cli_corpus.json`` pins one digest per command; ``test_cli_corpus.py`` replays
-them. The corpus covers 40 random configs (n from 500 to 10,000, on both sides of
-the size from which the fit's exact sums leave ``math.fsum``), both predictor
+them. The corpus covers 40 random configs (n from 500 to 10,000, every one above
+the 300 values from which the fit's exact sums leave ``math.fsum``), both predictor
 modes and sort orders, ``--seeds`` subsets, the two fixtures, and inputs that
 end in exit 2, 3 and 4.
 
@@ -36,7 +36,7 @@ CONFIG_COUNT = 40
 
 def _random_config(rng: random.Random, index: int) -> tuple[dict, str | None]:
     """A valid config document and, for most configs, a reference CSV over its targets."""
-    # a third from 500 to 1,199 values, around where the exact sums leave fsum, the rest up to 10,000
+    # a third from 500 to 1,199 values, the size of the fixtures' series, the rest up to 10,000
     n = rng.randint(500, 1_199) if index % 3 == 0 else rng.randint(1_200, 10_000)
     t_end = round(rng.uniform(18.0, 28.0), 2)
     t_in = round(t_end + rng.uniform(1.0, 8.0), 2)

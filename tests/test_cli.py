@@ -1066,7 +1066,7 @@ STDOUT_PINS = {
         "e67edb743698ea05c09a4dd3ebe671461f38d604c96892ae823c506620c52bdc"),
     "validate-series-table": (["validate", "--series", "series.csv"],
         "eb8e7cf4f05306f0be3f3c42d8aeaa407a274e5b2e06ba51ed7f3e46ce86d3fb"),
-    # a 60 m pipe, n = 6,000 per seed: the fit's exact sums extract levels from 1,000 values on
+    # a 60 m pipe, n = 6,000 per seed: the fit's exact sums take one certified extraction level (from 300 values on)
     "sweep-config-60m-json": (["sweep", "--config", "long.json", "--reference", "reference.csv",
                                "--format", "json"],
         "fea4759835388fde38f9132436ed04e618e4020beeb083133a1c20276acc3c59"),

@@ -3,14 +3,17 @@ its exact sum against math.fsum."""
 
 import math
 import random
+import types
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import darl.regression
 from darl.errors import (DegenerateAbscissa, DegenerateVariance, InsufficientSamples, ShapeMismatch,
                          ValidationError)
 from darl.ingest import load_fixture
@@ -109,8 +112,8 @@ def test_fixture_fits_equal_pure_python_reference_bit_for_bit(fixture):
         assert seed_fit.fit == centered_fsum_reference(grid, series.tolist())
 
 
-# both sides of 1,000, from where _exact_sum sums by extraction rather than by fsum, then sizes up to
-# long-sweep's 10,000
+# sizes from 999, all above the 300 values from which _exact_sum sums by extraction rather than by
+# fsum, up to long-sweep's 10,000
 @pytest.mark.parametrize("n", [999, 1000, 1001, 1199, 1200, 2000, 6000, 10000])
 @pytest.mark.parametrize("order", SORT_ORDERS)
 def test_large_fits_equal_pure_python_reference_bit_for_bit(n, order):
@@ -130,8 +133,8 @@ SPECIAL_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1
 def sum_inputs(draw):
     """A 1-D float64 array: random values at one scale, with a few special values planted.
 
-    Its length lies on either side of 1,000, from where _exact_sum sums by extraction; 8e270
-    stays just under extraction's 2^900 limit, and 1e298 and above go to fsum.
+    Its length lies on either side of the 300 values from which _exact_sum sums by extraction;
+    8e270 stays just under extraction's 2^900 limit, and 1e298 and above go to fsum.
     """
     n = draw(st.integers(0, 999) | st.integers(1_000, 2_600))
     scale = draw(st.sampled_from((0.0, 1e-310, 1e-300, 1e-20, 1.0, 31.01, 1e20, 8e270, 1e298, 1e300, 1e308)))
@@ -166,7 +169,7 @@ def test_exact_sum_equals_fsum(values):
 
 
 def exact_sum_edge_cases():
-    """(id, array) pairs for the extraction's limits, each of at least 1,000 values."""
+    """(id, array) pairs for the extraction's limits, each of at least 1,000 values, so all extracted."""
     rng = np.random.default_rng(2008)
     subnormals = rng.integers(-2**52, 2**52, 1_500) * 5e-324  # exact multiples of 2^-1074
     mixed = subnormals.copy()
@@ -180,14 +183,14 @@ def exact_sum_edge_cases():
         ("subnormals-and-normals", mixed),
         ("just-under-2^900", np.concatenate(([below, -below, below], spread))),
         ("at-2^900", np.concatenate(([above, -above, above], spread))),
-        # 2(n + 2)·max|p| = 3,072: sigma = 2^12 sums the level, about -1,534, exactly; with 2^10 it
+        # 2(n + 2)·max|a| = 3,072: sigma = 2^12 sums the head, about -1,534, exactly; with 2^10 it
         # would round there at a tie, which the 2^-60 decides
         ("level-sum-near-sigma", np.array([-(0.75 + 3 * 2.0**-43), 2.0**-60] + [-(0.75 + 2.0**-43)] * 2_044)),
         ("cancels-to-zero", np.concatenate((spread, -spread[::-1]))),
         ("n-2^20", rng.uniform(25.81, 31.01, 2**20) * 2.0 ** rng.integers(-30, 1, 2**20)),
         ("n-max-sample-count", rng.uniform(-2.6, 2.6, MAX_SAMPLE_COUNT) ** 2),
-        # a level each for 1, 2^-53 and four pairs that cancel; 1 + 2^-53 is a tie that rounds
-        # down to 1, and the 2^-400 left after six levels rounds it up
+        # 1 + 2^-53 is a tie that rounds down to 1, and the 2^-400 beyond four pairs that cancel
+        # rounds it up; the certificate declines the tie, so fsum sees the 2^-400
         ("beyond-level-cap", np.array([1.0, 2.0**-53, *(s * 2.0**-e for e in (120, 180, 240, 300) for s in (1, -1)),
                                        2.0**-400] + [0.0] * 1_200)),
         ("spread-beyond-level-cap", rng.uniform(-1.0, 1.0, 1_500) * 2.0 ** rng.integers(-1_000, 1, 1_500)),
@@ -199,18 +202,108 @@ def test_exact_sum_equals_fsum_at_extraction_limits(values):
     assert fsum_outcome(_exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
 
 
+@pytest.fixture
+def fsum_calls(monkeypatch):
+    """A list that grows by one for every math.fsum call that darl.regression makes."""
+    calls = []
+
+    def counting_fsum(values):
+        calls.append(len(values))
+        return math.fsum(values)
+
+    monkeypatch.setattr(darl.regression, "math", types.SimpleNamespace(**{**vars(math), "fsum": counting_fsum}))
+    return calls
+
+
+def certificate_cases():
+    """(id, array, whether the certificate must decline it) for _exact_sum's one-level path."""
+    rng = np.random.default_rng(2008)
+    spread = rng.uniform(-1.0, 1.0, 1_500)
+    zeros = [0.0] * 1_200
+    return [
+        # 1 + 2^-53 is a tie: the TwoSum error, 2^-53, is half an ulp of 1, where a quarter is allowed
+        ("tie", np.array([1.0, 2.0**-53] + zeros), True),
+        # 2^-80 below the midpoint of 1.5 and its upper neighbour, well inside n²·2^(k-105) = 2^-72.5
+        ("within-the-error-term-of-a-midpoint", np.array([1.5, 2.0**-53 - 2.0**-80] + zeros), True),
+        # the tail rounds to -2^-54, so head + tail gives 1.0 with a TwoSum error of one quarter ulp; the
+        # exact sum is 2^-108 below the midpoint 1 - 2^-54 and rounds to 1 - 2^-53
+        ("power-of-two-from-below", np.array([1.0, -2.0**-54, -2.0**-108] + zeros), True),
+        ("heavy-cancellation", np.concatenate((spread, -spread[::-1], [2.0**-70])), True),
+        ("bound-at-2^900", np.concatenate(([2.0**900], 2.0**900 * spread)), True),
+        ("bound-at-2^-900", np.concatenate(([2.0**-900], 2.0**-900 * spread)), True),
+        ("bound-just-under-2^900", np.concatenate(([math.nextafter(2.0**900, 0.0)], 2.0**899 * spread)), False),
+        ("bound-just-over-2^-900", np.concatenate(([math.nextafter(2.0**-900, 1.0)], 2.0**-900 * spread)), False),
+        ("fixture-range", rng.uniform(25.81, 31.01, 1_500), False),
+    ]
+
+
+@pytest.mark.parametrize("values, declined", [pytest.param(a, d, id=name) for name, a, d in certificate_cases()])
+def test_exact_sum_falls_back_to_fsum_only_where_the_certificate_declines(values, declined, fsum_calls):
+    assert repr(_exact_sum(values)) == repr(math.fsum(values.tolist()))
+    assert fsum_calls == ([len(values)] if declined else [])
+
+
+@pytest.mark.parametrize("values", [[31.01], [-2.0**-60], [1.0, 2.0**-53], [25.81, -31.01], [1e-300, 3e-300]],
+                         ids=["one", "one-tiny", "two-tie", "two", "two-tiny"])
+def test_exact_sum_of_one_or_two_values_equals_fsum_by_either_path(values, monkeypatch):
+    array = np.array(values)
+    assert repr(_exact_sum(array)) == repr(math.fsum(values))
+    monkeypatch.setattr(darl.regression, "_EXTRACT_FROM", 1)
+    assert repr(_exact_sum(array)) == repr(math.fsum(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=sum_inputs())
+def test_exact_sum_equals_fsum_through_the_certificate_at_every_length(values):
+    with mock.patch.object(darl.regression, "_EXTRACT_FROM", 1):
+        assert fsum_outcome(_exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
+
+
+def long_sweep_configs():
+    """Eight configs like the benchmark's long sweep: one in each 10 m stratum of 20-100 m, all five seeds."""
+    rng = random.Random(26)
+    configs = []
+    for stratum in range(8):
+        t_in = round(rng.uniform(29.0, 33.0), 2)
+        t_end = round(t_in - rng.uniform(4.0, 8.0), 2)
+        configs.append(ExperimentConfig(
+            t_in_c=t_in, t_end_c=t_end, t_w_c=round(t_end - rng.uniform(0.2, 2.0), 2),
+            total_length_m=round(20.0 + 10.0 * (stratum + 0.4 + 0.2 * rng.random()), 2),
+            target_lengths_m=(2.5,), sort_order=SORT_ORDERS[stratum % 2]))
+    return configs
+
+
+def test_fixture_and_long_sweep_sums_never_fall_back_to_fsum(fsum_calls):
+    long = long_sweep_configs()
+    assert sorted(config.sample_count() // 1_000 for config in long) == list(range(2, 10))
+    for config in [load_fixture(name).config for name in ("experiment-a", "experiment-b")] + long:
+        assert len(fit_seeds(config)) == 5
+    assert fsum_calls == []
+
+
 @st.composite
 def shared_abscissa_series(draw):
-    """An abscissa and 1-5 sorted series over it, on both sides of 1,000 values, some as strided views."""
-    n = draw(st.integers(2, 999) | st.integers(1_000, 2_600))
+    """An abscissa and 1-5 series over it, of 2 to 10,000 values, some as strided views.
+
+    The series are sorted in the fixtures' range, straddle 0 degC, or are near flat (within 1e-12
+    or 1e-9 of a level of 0, -3 or 28 degC, unsorted), so Σy and Σdx·dy cancel.
+    """
+    n = draw(st.integers(2, 299) | st.integers(300, 2_600) | st.integers(2_601, 10_000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):  # a length grid, as fit_seeds fits against
         x = np.arange(n, dtype=np.float64) * draw(st.sampled_from((5.4, 8.3, 100.0))) / (n - 1)
     else:
         x = rng.uniform(-100.0, 100.0, n)
-    ys = [np.sort(rng.uniform(25.81, 31.01, n)) for _ in range(draw(st.integers(1, 5)))]
-    if draw(st.sampled_from(SORT_ORDERS)) == "descending":
-        ys = [np.ascontiguousarray(y[::-1]) for y in ys]
+    kind = draw(st.sampled_from(("fixture-range", "straddling-zero", "near-flat")))
+    if kind == "near-flat":
+        level, spread = draw(st.sampled_from((0.0, -3.0, 28.0))), draw(st.sampled_from((1e-12, 1e-9)))
+        ys = [level + rng.uniform(-spread, spread, n) for _ in range(draw(st.integers(1, 5)))]
+        assume(all(y.min() < y.max() for y in ys))
+    else:
+        lo, hi = (25.81, 31.01) if kind == "fixture-range" else (-draw(st.sampled_from((0.5, 20.0))), 20.0)
+        ys = [np.sort(rng.uniform(lo, hi, n)) for _ in range(draw(st.integers(1, 5)))]
+        if draw(st.sampled_from(SORT_ORDERS)) == "descending":
+            ys = [np.ascontiguousarray(y[::-1]) for y in ys]
     if draw(st.booleans()):  # strided column views of one (n, k + 1) array
         columns = np.column_stack((x, *ys))
         x, ys = columns[:, 0], [columns[:, i] for i in range(1, len(ys) + 1)]
@@ -219,6 +312,10 @@ def shared_abscissa_series(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=shared_abscissa_series())
+# a 100 m grid under series that straddle 0 degC: products of up to 50 m by 20 degC, whose sum needs the
+# product of the ranges as its bound
+@example(case=(np.arange(10_000) * 100.0 / 9_999, [np.sort(np.random.default_rng(s).uniform(-20.0, 20.0, 10_000))
+                                                   for s in range(4, 9)]))
 def test_fit_lines_equals_reference_and_fit_ols_per_series(case):
     x, ys = case
     fits = fit_lines(x, ys)
