@@ -1,15 +1,19 @@
-"""A seeded corpus of ``darl run`` and ``sweep`` commands and their pinned outcomes.
+"""A seeded corpus of ``darl`` commands and their pinned outcomes: the one place a command's bytes are pinned.
 
-Each command runs in process in an empty directory that holds only its input
-files, and is reduced to one sha256 over its exit code, its stdout, its stderr
-without the ``wall_time_s=`` line, and every file in the directory afterwards.
-``cli_corpus.json`` pins one digest per command; ``test_cli_corpus.py`` replays
-them. The corpus covers 40 random configs (n from 500 to 10,000, every one above
-the 300 values from which the fit's exact sums leave ``math.fsum``), both predictor
-modes and sort orders, ``--seeds`` subsets, the two fixtures, and inputs that
-end in exit 2, 3 and 4.
+Each corpus entry runs its commands in process, one after another, in an empty
+directory that holds only its input files. It is reduced to one sha256 over each
+command's exit code, stdout and stderr without the ``wall_time_s=`` line, then
+every file in the directory afterwards. ``cli_corpus.json`` pins one digest per
+entry; ``test_cli_corpus.py`` replays them. All five subcommands are covered:
+40 random configs through ``run`` and ``sweep`` (n from 500 to 10,000, every one
+above the 300 values from which the fit's exact sums leave ``math.fsum``), both
+predictor modes and sort orders, ``--seeds`` subsets, the two fixtures, inputs
+that end in exit 2, 3 and 4, and the hand-written ``generate``, ``validate``,
+``fixtures``, ``run`` and ``sweep`` commands whose stdout the fixture reports,
+the tables and the 60 m pipe used to pin one by one.
 
-Regenerate the manifest after a change that moves output bytes on purpose:
+Regenerating the manifest is the one re-pin step after a change that moves
+output bytes on purpose:
 
     PYTHONPATH=src python tests/cli_corpus.py
 """
@@ -30,6 +34,8 @@ from darl.cli import main
 from darl.prng import KNOWN_FERMAT_PRIMES
 
 MANIFEST = Path(__file__).with_name("cli_corpus.json")
+# (name, the argv of each command run in turn, input files by name)
+Entry = tuple[str, list[list[str]], dict[str, str]]
 CORPUS_SEED = 2008
 CONFIG_COUNT = 40
 
@@ -63,7 +69,7 @@ def _random_config(rng: random.Random, index: int) -> tuple[dict, str | None]:
     return config, "length_m,t_obs_c\n" + rows
 
 
-def _config_commands(rng: random.Random, index: int) -> list[tuple[str, list[str], dict[str, str]]]:
+def _config_commands(rng: random.Random, index: int) -> list[Entry]:
     config, reference = _random_config(rng, index)
     name = f"c{index:02d}"
     files = {f"{name}.json": json.dumps(config)}
@@ -85,10 +91,10 @@ def _config_commands(rng: random.Random, index: int) -> list[tuple[str, list[str
         commands.append(("sweep", ["sweep", *base, "--format", rng.choice(("json", "table")), *mode_flag]))
     else:
         commands.append(("run-table", ["run", *base, *mode_flag]))
-    return [(f"{name}-{label}", argv, files) for label, argv in commands]
+    return [(f"{name}-{label}", [argv], files) for label, argv in commands]
 
 
-def _fixture_commands(rng: random.Random) -> list[tuple[str, list[str], dict[str, str]]]:
+def _fixture_commands(rng: random.Random) -> list[Entry]:
     commands = []
     for fixture in ("experiment-a", "experiment-b"):
         tag = fixture[-1]
@@ -105,10 +111,10 @@ def _fixture_commands(rng: random.Random) -> list[tuple[str, list[str], dict[str
             (f"{tag}-run-n-4000", ["run", *base, "--n-override", "4000", "--format", "csv"]),
             (f"{tag}-sweep-n-2500-asc", ["sweep", *base, "--n-override", "2500", "--sort-order", "asc"]),
         ]
-    return [(f"fixture-{label}", argv, {}) for label, argv in commands]
+    return [(f"fixture-{label}", [argv], {}) for label, argv in commands]
 
 
-def _refused_commands() -> list[tuple[str, list[str], dict[str, str]]]:
+def _refused_commands() -> list[Entry]:
     """Inputs that end in exit 2 (usage or validation), 3 (I/O) and 4 (numerical degeneracy)."""
     valid = {"t_in_c": 31.01, "t_end_c": 25.81, "t_w_c": 24.28, "total_length_m": 60.0,
              "target_lengths_m": [10.0, 30.0]}
@@ -138,31 +144,79 @@ def _refused_commands() -> list[tuple[str, list[str], dict[str, str]]]:
         ("exit4-near-zero-observation", [*run, "--reference", "ref.csv"],
          {**config(), "ref.csv": "length_m,t_obs_c\n10.0,1e-310\n30.0,27.37\n"}),
     ]
-    return [(f"refused-{label}", argv, files) for label, argv, files in commands]
+    return [(f"refused-{label}", [argv], files) for label, argv, files in commands]
 
 
-def corpus_commands() -> list[tuple[str, list[str], dict[str, str]]]:
-    """(name, argv, input files by name) per command, the same on every call."""
+def _hand_written_commands() -> list[Entry]:
+    """``generate``, ``validate``, ``fixtures``, and the fixture and config commands that print tables.
+
+    Without ``--out-dir`` a command writes its artifacts beside its inputs. A config's stem is
+    its report's ``source``, and a series file's name is in ``validate``'s output.
+    """
+    config = {"t_in_c": 31.01, "t_end_c": 25.81, "t_w_c": 24.28, "t_w_uncertainty_c": 0.09,
+              "total_length_m": 5.4, "target_lengths_m": [2.5, 3.4, 4.4], "seeds": [3, 5, 17, 257, 65537],
+              "n_override": None, "sort_order": "descending", "darl_mode": "as-printed"}
+    reference = "length_m,t_obs_c\n2.5,28.8\n3.4,27.37\n4.4,26.67\n"
+    custom = {"custom.json": json.dumps(config), "reference.csv": reference}
+    # a 60 m pipe, n = 6,000 per seed: the fit's exact sums take one certified extraction level
+    long = {"long.json": json.dumps({**config, "total_length_m": 60.0}), "reference.csv": reference}
+    series = ["generate", "--seed", "5", "--n", "538", "--min", "25.81", "--max", "31.01", "--out", "series.csv"]
+    # the n = 5,000 series at the benchmark's scale, read back in one batch
+    series5000 = ["generate", "--seed", "3", "--n", "5000", "--min", "24", "--max", "31", "--order", "desc",
+                  "--out", "series5000.csv"]
+    commands = [
+        ("run-a-n-override-2", [["run", "--fixture", "experiment-a", "--n-override", "2"]], {}),
+        ("sweep-a-table", [["sweep", "--fixture", "experiment-a"]], {}),
+        ("sweep-b-table", [["sweep", "--fixture", "experiment-b"]], {}),
+        ("run-config-table", [["run", "--config", "custom.json"]], custom),
+        ("run-config-reference-json",
+         [["run", "--config", "custom.json", "--reference", "reference.csv", "--format", "json"]], custom),
+        ("run-config-reference-table", [["run", "--config", "custom.json", "--reference", "reference.csv"]], custom),
+        ("sweep-config-60m-json",
+         [["sweep", "--config", "long.json", "--reference", "reference.csv", "--format", "json"]], long),
+        ("run-config-60m-json", [["run", "--config", "long.json", "--format", "json"]], long),
+        ("generate-series", [series], {}),
+        ("generate-series-5000", [series5000], {}),
+        # the n = 4 Shapiro-Wilk weights themselves: W = 1, the one series here whose normality is not rejected
+        ("validate-w-one-table", [["validate", "--series", "w-one.csv"]], {"w-one.csv": "Ordered_Value\n"
+         "-0.687264285908471\n-0.166336410069231\n0.166336410069231\n0.687264285908471\n"}),
+    ]
+    for fmt, flag in (("json", ["--format", "json"]), ("table", [])):
+        commands += [
+            *[(f"validate-{fixture[-1]}-{fmt}", [["validate", "--fixture", fixture, *flag]], {})
+              for fixture in ("experiment-a", "experiment-b")],
+            (f"validate-series-{fmt}", [series, ["validate", "--series", "series.csv", *flag]], {}),
+            (f"validate-series-5000-{fmt}", [series5000, ["validate", "--series", "series5000.csv", *flag]], {}),
+            (f"fixtures-{fmt}", [["fixtures", *flag]], {}),
+        ]
+    return commands
+
+
+def corpus_commands() -> list[Entry]:
+    """One entry per pinned outcome, the same on every call; the random draws come first."""
     rng = random.Random(CORPUS_SEED)
     commands = [c for index in range(CONFIG_COUNT) for c in _config_commands(rng, index)]
-    return commands + _fixture_commands(rng) + _refused_commands()
+    return commands + _fixture_commands(rng) + _refused_commands() + _hand_written_commands()
 
 
-def outcome_digest(argv: list[str], files: dict[str, str], directory: Path) -> str:
-    """Run ``main(argv)`` in ``directory`` after writing ``files`` there; sha256 of what it did."""
+def outcome_digest(argvs: list[list[str]], files: dict[str, str], directory: Path) -> str:
+    """Run ``main`` on each argv in ``directory`` after writing ``files`` there; sha256 of what they did."""
     for name, text in files.items():
         (directory / name).write_text(text)
-    stdout, stderr = io.StringIO(), io.StringIO()
+    parts = []
     previous = os.getcwd()
     os.chdir(directory)
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+        for argv in argvs:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = "".join(line for line in stderr.getvalue().splitlines(keepends=True)
+                          if not line.startswith("wall_time_s="))
+            parts += [("exit", str(code).encode()), ("stdout", stdout.getvalue().encode()),
+                      ("stderr", err.encode())]
     finally:
         os.chdir(previous)
-    err = "".join(line for line in stderr.getvalue().splitlines(keepends=True)
-                  if not line.startswith("wall_time_s="))
-    parts = [("exit", str(code).encode()), ("stdout", stdout.getvalue().encode()), ("stderr", err.encode())]
     parts += sorted((path.relative_to(directory).as_posix(), path.read_bytes())
                     for path in directory.rglob("*") if path.is_file())
     digest = hashlib.sha256()
@@ -173,15 +227,15 @@ def outcome_digest(argv: list[str], files: dict[str, str], directory: Path) -> s
 
 
 def regenerate() -> None:
-    """Replay every command in a fresh directory and rewrite the manifest."""
+    """Replay every entry in a fresh directory and rewrite the manifest."""
     digests = {}
     with tempfile.TemporaryDirectory() as root:
-        for number, (name, argv, files) in enumerate(corpus_commands()):
+        for number, (name, argvs, files) in enumerate(corpus_commands()):
             directory = Path(root, str(number))
             directory.mkdir()
-            digests[name] = outcome_digest(argv, files, directory)
+            digests[name] = outcome_digest(argvs, files, directory)
     MANIFEST.write_text(json.dumps(digests, indent=1) + "\n")
-    print(f"wrote {MANIFEST.name}: {len(digests)} commands", file=sys.stderr)
+    print(f"wrote {MANIFEST.name}: {len(digests)} entries", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""The pinned CLI corpus: every command's exit code, stdout, stderr and written files hold their digest."""
+"""The pinned CLI corpus: every entry's exit codes, stdouts, stderrs and written files hold their digest."""
 
 import json
 
@@ -14,6 +14,6 @@ def test_manifest_pins_every_command_once():
     assert [name for name, _, _ in COMMANDS] == list(PINNED)
 
 
-@pytest.mark.parametrize("name, argv, files", COMMANDS, ids=[name for name, _, _ in COMMANDS])
-def test_command_outcome_matches_pinned_digest(tmp_path, name, argv, files):
-    assert outcome_digest(argv, files, tmp_path) == PINNED[name]
+@pytest.mark.parametrize("name, argvs, files", COMMANDS, ids=[name for name, _, _ in COMMANDS])
+def test_command_outcome_matches_pinned_digest(tmp_path, name, argvs, files):
+    assert outcome_digest(argvs, files, tmp_path) == PINNED[name]
