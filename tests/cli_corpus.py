@@ -199,8 +199,8 @@ def corpus_commands() -> list[Entry]:
     return commands + _fixture_commands(rng) + _refused_commands() + _hand_written_commands()
 
 
-def outcome_digest(argvs: list[list[str]], files: dict[str, str], directory: Path) -> str:
-    """Run ``main`` on each argv in ``directory`` after writing ``files`` there; sha256 of what they did."""
+def outcome_parts(argvs: list[list[str]], files: dict[str, str], directory: Path) -> list[tuple[str, bytes]]:
+    """Run ``main`` on each argv in ``directory`` after writing ``files`` there; what they did, part by part."""
     for name, text in files.items():
         (directory / name).write_text(text)
     parts = []
@@ -217,13 +217,21 @@ def outcome_digest(argvs: list[list[str]], files: dict[str, str], directory: Pat
                       ("stderr", err.encode())]
     finally:
         os.chdir(previous)
-    parts += sorted((path.relative_to(directory).as_posix(), path.read_bytes())
-                    for path in directory.rglob("*") if path.is_file())
+    return parts + sorted((path.relative_to(directory).as_posix(), path.read_bytes())
+                          for path in directory.rglob("*") if path.is_file())
+
+
+def parts_digest(parts: list[tuple[str, bytes]]) -> str:
     digest = hashlib.sha256()
     for label, data in parts:
         digest.update(f"{label} {len(data)}\n".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+def outcome_digest(argvs: list[list[str]], files: dict[str, str], directory: Path) -> str:
+    """The sha256 of what ``outcome_parts`` ran."""
+    return parts_digest(outcome_parts(argvs, files, directory))
 
 
 def regenerate() -> None:

@@ -22,6 +22,8 @@ from darl.model import ExperimentConfig, run_configuration
 from darl.prng import MAX_SAMPLE_COUNT, MersenneTwister
 from darl.serialize import render_series_csv
 
+from cli_corpus import MANIFEST, corpus_commands, outcome_parts, parts_digest
+
 
 def write_config(tmp_path, name="custom", **overrides):
     base = dict(
@@ -600,6 +602,32 @@ def test_run_config_list_keys_must_be_arrays_exit_2(tmp_path, capsys, overrides)
     assert not (tmp_path / "raw-report.json").exists()
 
 
+# Every corpus entry and its digest in the manifest, the one place these commands' bytes are pinned.
+CORPUS = {name: (argvs, files) for name, argvs, files in corpus_commands()}
+CORPUS_PINS = json.loads(MANIFEST.read_text())
+
+
+def pinned_corpus_outcome(tmp_path, name):
+    """Corpus entry ``name``'s stdout and written files by path, once its outcome matches the manifest."""
+    argvs, files = CORPUS[name]
+    (tmp_path / "corpus").mkdir()
+    parts = outcome_parts(argvs, files, tmp_path / "corpus")
+    assert parts_digest(parts) == CORPUS_PINS[name]
+    return dict(parts)
+
+
+@pytest.mark.parametrize("fixture, mode", [(fixture, mode) for fixture in ("experiment-a", "experiment-b")
+                                           for mode in ("as-printed", "span-over-phi-r2")])
+def test_run_fixture_artifacts_match_pinned_hashes(tmp_path, capsys, fixture, mode):
+    assert main(["run", "--fixture", fixture, "--darl-mode", mode, "--format", "json",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    report = (tmp_path / "run" / f"{fixture}-report.json").read_bytes()
+    plot = (tmp_path / "run" / f"{fixture}-plot.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == report
+    pinned = pinned_corpus_outcome(tmp_path, f"fixture-{fixture[-1]}-run-{mode}-json")
+    assert (report, plot) == (pinned[f"out/{fixture}-report.json"], pinned[f"out/{fixture}-plot.csv"])
+
+
 def counting(monkeypatch, name, module=darl.model):
     calls = []
     original = getattr(module, name)
@@ -988,6 +1016,28 @@ def test_run_and_validate_series_tables_share_stats_cells(tmp_path, capsys):
         assert validate_row[1:4] == run_row[1:4] and validate_row[5:] == run_row[5:]
         assert run_row[4] in ("rejected", "retained")
         assert validate_row[4] == ("rejected" if run_row[4] == "rejected" else "not rejected")
+
+
+# Each command's stdout with no --out-dir and its default --format, and the corpus entry that
+# prints the same bytes with both given.
+STDOUT_IN_CORPUS = {
+    **{f"run-{fixture[-1]}-{tag}-table": (["run", "--fixture", fixture, "--darl-mode", mode],
+                                          f"fixture-{fixture[-1]}-run-{mode}-table")
+       for fixture in ("experiment-a", "experiment-b")
+       for tag, mode in (("as-printed", "as-printed"), ("span", "span-over-phi-r2"))},
+    "run-a-csv": (["run", "--fixture", "experiment-a", "--format", "csv"], "fixture-a-run-as-printed-csv"),
+    **{f"sweep-{fixture[-1]}-json": (["sweep", "--fixture", fixture, "--format", "json"],
+                                     f"fixture-{fixture[-1]}-sweep-as-printed")
+       for fixture in ("experiment-a", "experiment-b")},
+}
+
+
+@pytest.mark.parametrize("argv, entry", list(STDOUT_IN_CORPUS.values()), ids=list(STDOUT_IN_CORPUS))
+def test_stdout_matches_pinned_hash(tmp_path, capsys, monkeypatch, argv, entry):
+    (tmp_path / "command").mkdir()
+    monkeypatch.chdir(tmp_path / "command")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == pinned_corpus_outcome(tmp_path, entry)["stdout"]
 
 
 def test_sweeps_in_one_process_cut_series_from_the_kept_streams(tmp_path, capsys, monkeypatch):
