@@ -302,10 +302,10 @@ def _run_tables(report: dict) -> str:
 
 
 def cmd_generate(args) -> int:
+    if args.out == "":  # os.open("") fails with a raw errno; refused before any draw
+        raise ValidationError("--out must not be empty")
     order = _ORDER_FLAGS[args.order]
     values = uniform_series(args.seed, args.n, args.min, args.max, order)
-    if args.out == "":  # os.open("") fails with a raw errno
-        raise ValidationError("--out must not be empty")
     name = args.out or f"series-seed{args.seed}-n{args.n}-{args.order}.csv"
     path = _write_artifact(None if args.out else args.out_dir, name, render_series_csv(values))
     print(f"wrote {path} ({len(values)} values, {order})")

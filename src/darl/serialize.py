@@ -1,8 +1,9 @@
 """Deterministic serialization: fixed-digit JSON and the CSV artifacts.
 
-Every float is rendered at 15 significant digits, by one ``%`` format per
-document, so identical inputs produce byte-identical files on any platform;
-shortest-round-trip repr is never used for persisted output.
+Every float is rendered at 15 significant digits, the bytes of ``%.15g``, so
+identical inputs produce byte-identical files on any platform; shortest-round-trip
+repr is never used for persisted output. JSON and the plot CSV fill their slots in
+one ``%`` format per document; the series CSV writes its digits with numpy, exactly.
 """
 
 from __future__ import annotations
@@ -74,12 +75,15 @@ def render_json(obj) -> str:
 
 
 def render_series_csv(values: Sequence[float] | np.ndarray) -> str:
-    """Single-column CSV with an unquoted Ordered_Value header, in one ``%`` format."""
+    """Single-column CSV with an unquoted Ordered_Value header: the bytes of ``"%.15g\\n" % v`` per
+    value, written by numpy (``darl._series_csv``)."""
+    from ._series_csv import series_lines  # compiled on first use: most commands write no series
+
     values = np.asarray(values, dtype=np.float64)
     # a NaN propagates into min and max, so both are finite only when every value is
     if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
         list(map(_finite, values.tolist()))  # raises its error for the first non-finite value
-    return "Ordered_Value\n" + (_FLOAT_SLOT + "\n") * values.size % tuple(values.tolist())
+    return "".join(["Ordered_Value\n", *series_lines(values)])
 
 
 def render_plot_csv(rows: Iterable[tuple[float, float, float]]) -> str:

@@ -72,7 +72,7 @@ def _sw_weights(n: int) -> tuple[np.ndarray, float]:
     if n == 3:
         a = np.array([math.sqrt(0.5)])
     else:
-        m = np.array([_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, half + 1)])
+        m = np.fromiter(map(_NORMAL.inv_cdf, ((np.arange(1, half + 1) - 0.375) / (n + 0.25)).tolist()), float, half)
         summ2 = 2.0 * float(np.sum(m * m))
         ssumm2 = math.sqrt(summ2)
         rsn = 1.0 / math.sqrt(n)

@@ -955,6 +955,16 @@ def test_empty_out_is_an_error(capsys, tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+
+def test_empty_out_is_refused_before_any_draw(capsys, tmp_path, monkeypatch):
+    # the series is never drawn: --n 1 would be refused by uniform_series with its own message
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("darl.cli.uniform_series", lambda *args: pytest.fail("drew a series"))
+    assert main(["generate", "--seed", "3", "--n", "1000000", "--min", "24", "--max", "31", "--out", ""]) == 2
+    assert main(["generate", "--seed", "3", "--n", "1", "--min", "24", "--max", "31", "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --out must not be empty\n" * 2)
+    assert not list(tmp_path.iterdir())
+
 @pytest.mark.parametrize("command", [[], ["generate"], ["run"], ["sweep"], ["validate"], ["fixtures"]],
                          ids=["top-level", "generate", "run", "sweep", "validate", "fixtures"])
 def test_help_exits_0_with_usage(command, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from darl._series_csv import _CHUNK
 from darl.serialize import FLOAT_DIGITS, render_json, render_plot_csv, render_series_csv
 
 
@@ -184,3 +185,77 @@ def test_render_series_csv_matches_format_float(values):
     else:
         assert render_series_csv(np.array(values, dtype=np.float64)) == expected
         assert render_series_csv(values) == expected
+
+
+def _powers_of_ten_and_neighbours():
+    """Each power of ten from 1e-5 to 1e16 and the doubles up to 8 ulps either side: where a log10
+    estimate of the exponent is one off, and where 15 digits carry into the next power."""
+    out = [9.9999999999999995, 999999999999999.5]
+    for power in (float(f"1e{k}") for k in range(-5, 17)):
+        below = above = power
+        out.append(power)
+        for _ in range(8):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            out += [below, above]
+    return np.array(out)
+
+
+SERIES_POOLS = {
+    "powers-of-ten": _powers_of_ten_and_neighbours(),
+    "zero-subnormal-huge": np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308]),
+}
+
+
+def _series_family(kind, rng, n):
+    """n values of one kind, drawn with rng."""
+    if kind in SERIES_POOLS:
+        return rng.choice(SERIES_POOLS[kind], n)
+    if kind == "generate-like":  # sorted uniform draws whose bounds straddle 0
+        t_min, t_max = -rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0)
+        return np.sort(t_min + rng.random(n) * (t_max - t_min))
+    if kind == "log-uniform":
+        return 10.0 ** rng.uniform(-9.0, 17.0, n) * rng.choice([-1.0, 1.0], n)
+    # exact ties at 15 digits: odd q / 2^k has the 16 significant digits of q * 5^k, the last a 5
+    k = rng.integers(1, 23, n)
+    low = -(-10 ** 15 // 5 ** k) | 1
+    q = low + 2 * (rng.integers(0, 2 ** 62, n) % (((10 ** 16 - 1) // 5 ** k - low) // 2 + 1))
+    ties = np.ldexp(q.astype(np.float64), -k)
+    if kind == "exact-ties":
+        return ties
+    # near-ties: the nearest double to a 16-digit decimal ending in 5, so the scaled product's rounding
+    # error decides a product that rounds to a tie
+    digits = rng.integers(10 ** 14, 10 ** 15, n) * 10 + 5
+    return np.array([float(f"{d}e{x}") for d, x in zip(digits.tolist(), rng.integers(-20, 2, n).tolist())])
+
+
+SERIES_KINDS = ("generate-like", "log-uniform", "powers-of-ten", "exact-ties", "near-ties", "zero-subnormal-huge")
+
+
+def test_exact_ties_have_sixteen_digits_ending_in_5():
+    ties = _series_family("exact-ties", np.random.default_rng(0), 2000)
+    for value in ties.tolist():
+        text = format(value, ".15e")  # 16 significant digits hold it exactly
+        assert float(text) == value and text.split("e")[0][-1] == "5"
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.integers(0, 40_000), st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 32 * _CHUNK + 3])),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.sets(st.sampled_from(SERIES_KINDS), min_size=1),
+       bad=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                              st.sampled_from([float("nan"), float("inf"), float("-inf")])), max_size=2))
+@example(n=40_000, seed=29, kinds=set(SERIES_KINDS), bad=[])
+@example(n=2 * _CHUNK + 1, seed=7, kinds={"generate-like"}, bad=[(0.9, float("inf")), (0.2, float("nan"))])
+def test_render_series_csv_matches_format_float_across_chunks(n, seed, kinds, bad):
+    # the numpy writer's bytes are format_float's, value by value, up to 40,000 values (full chunks and a
+    # padded partial one), or its error is the one for the first non-finite value
+    rng = np.random.default_rng(seed)
+    kinds = sorted(kinds)
+    which = rng.integers(0, len(kinds), n)
+    values = np.empty(n)
+    for i, kind in enumerate(kinds):
+        values[which == i] = _series_family(kind, rng, int(np.count_nonzero(which == i)))
+    for at, value in bad if n else ():
+        values[int(at * n)] = value
+    assert outcome(render_series_csv, values) == outcome(
+        lambda v: "".join(["Ordered_Value\n", *(format_float(x) + "\n" for x in v.tolist())]), values)

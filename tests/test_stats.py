@@ -19,7 +19,7 @@ from darl.errors import (
     ValidationError,
 )
 from darl.prng import KNOWN_FERMAT_PRIMES, MersenneTwister, uniform_series
-from darl.stats import _G, _poly, _sw_weights, quartile_summary, relative_error, rmse, shapiro_wilk
+from darl.stats import _C1, _C2, _G, _NORMAL, _poly, _sw_weights, quartile_summary, relative_error, rmse, shapiro_wilk
 
 from golden_data import SW_FIXTURE, SW_FIXTURE_P, SW_FIXTURE_W
 
@@ -310,6 +310,36 @@ def test_sw_weights_cached_once_per_n_and_read_only():
         assert abs(weights.sum()) < 1e-12  # centered
         assert np.allclose(weights, -weights[::-1], rtol=0.0, atol=1e-15)
         assert ssw == float(np.dot(weights, weights))
+
+
+def reference_sw_weights(n):
+    """_sw_weights with its Blom scores taken one list item at a time."""
+    half = n // 2
+    if n == 3:
+        a = np.array([math.sqrt(0.5)])
+    else:
+        m = np.array([_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, half + 1)])
+        summ2 = 2.0 * float(np.sum(m * m))
+        rsn = 1.0 / math.sqrt(n)
+        ends, num, den = [], summ2, 1.0
+        for coeffs, m_end in zip((_C1, _C2) if n > 5 else (_C1,), m):
+            ends.append(_poly(coeffs, rsn) - m_end / math.sqrt(summ2))
+            num -= 2.0 * m_end ** 2
+            den -= 2.0 * ends[-1] ** 2
+        a = m / -math.sqrt(num / den)
+        a[:len(ends)] = ends
+    weights = np.zeros(n)
+    weights[:half] = -a
+    weights[n - half:] = a[::-1]
+    weights -= weights.mean()
+    return weights, float(np.dot(weights, weights))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 11, 12, 539, 540, 3001, 5000])
+def test_sw_weights_equal_the_list_comprehension_reference(n):
+    weights, ssw = _sw_weights(n)
+    expected, expected_ssw = reference_sw_weights(n)
+    assert weights.tobytes() == expected.tobytes() and ssw == expected_ssw
 
 
 def test_sw_weights_bytes_pinned():
