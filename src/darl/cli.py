@@ -189,29 +189,26 @@ def _discrepancy_block(fixture: Fixture, config: ExperimentConfig, fits: list[Se
     fits = [sf for sf in fits if lends and sf.seed in published]
     if rest := tuple(published.difference(sf.seed for sf in fits)):
         fits += fit_seeds(replace(pristine, seeds=rest))
+    by_mode = {}  # mode -> its comparison at each published row
+    for mode in DARL_MODES:
+        mode_config = pristine if mode == pristine.darl_mode else replace(pristine, darl_mode=mode)
+        comps = compare_with_reference(predict(mode_config, fits), fixture.reference)
+        by_row = {(c.seed, c.target_length_m): c for c in comps}
+        by_mode[mode] = [by_row[pub.seed, pub.target_length_m] for pub in fixture.reported_rows]
     rows = [
         {
             "target_length_m": pub.target_length_m,
             "seed": pub.seed,
             "reported_delta_t_c": pub.delta_t_c,
             "reported_relative_error_pct": pub.relative_error_pct,
-            "computed": {},
+            "computed": {
+                mode: {"t_sim_c": c.t_sim_c, "delta_t_c": c.delta_t_c, "relative_error_pct": c.relative_error_pct}
+                for mode, c in zip(by_mode, comps)
+            },
         }
-        for pub in fixture.reported_rows
+        for pub, *comps in zip(fixture.reported_rows, *by_mode.values())
     ]
-    computed_rmse = {}
-    for mode in DARL_MODES:
-        mode_config = pristine if mode == pristine.darl_mode else replace(pristine, darl_mode=mode)
-        comps = compare_with_reference(predict(mode_config, fits), fixture.reference)
-        by_row = {(c.seed, c.target_length_m): c for c in comps}
-        pairs = [by_row[row["seed"], row["target_length_m"]] for row in rows]
-        for row, c in zip(rows, pairs):
-            row["computed"][mode] = {
-                "t_sim_c": c.t_sim_c,
-                "delta_t_c": c.delta_t_c,
-                "relative_error_pct": c.relative_error_pct,
-            }
-        computed_rmse[mode] = rmse([c.t_obs_c for c in pairs], [c.t_sim_c for c in pairs])
+    computed_rmse = {mode: rmse([c.t_obs_c for c in cs], [c.t_sim_c for c in cs]) for mode, cs in by_mode.items()}
     return {
         "note": (
             "Recorded, not asserted: the predictor evaluated as printed "
@@ -312,28 +309,38 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _emit(args, doc: dict, table, artifact: str | None = None, *after: tuple[str, str]) -> None:
+    """Print doc as args.format asks: its JSON, or else table(doc). The JSON is rendered at most once,
+    only when printed or written to args.out_dir as artifact; the (filename, text) files in after follow it."""
+    text = render_json(doc) + "\n" if artifact or args.format == "json" else ""
+    for filename, content in ((artifact, text), *after) if artifact else ():
+        _write_artifact(args.out_dir, filename, content)
+    sys.stdout.write(text if args.format == "json" else table(doc))
+
+
 def cmd_run(args) -> int:
     started = time.perf_counter()
     name, config, reference, fixture = _resolve_inputs(args)
     report = _build_report(name, config, reference, fixture)
-    json_text = render_json(report) + "\n"
-    _write_artifact(args.out_dir, f"{name}-report.json", json_text)
     # the best seed's rows; without a reference, the header alone
     comparisons = report.get("comparisons", [])
     plot_text = render_plot_csv(sorted(
         (c["target_length_m"], c["t_sim_c"], c["t_obs_c"])
         for c in comparisons if c["seed"] == report["best_seed"]
     ))
-    if comparisons:
-        _write_artifact(args.out_dir, f"{name}-plot.csv", plot_text)
-    if args.format == "json":
-        sys.stdout.write(json_text)
-    elif args.format == "csv":
-        sys.stdout.write(plot_text)
-    else:
-        sys.stdout.write(_run_tables(report))
+    plot = [(f"{name}-plot.csv", plot_text)] if comparisons else []
+    table = _run_tables if args.format == "table" else lambda _: plot_text
+    _emit(args, report, table, f"{name}-report.json", *plot)
     print(f"wall_time_s={time.perf_counter() - started:.6f}", file=sys.stderr)
     return 0
+
+
+def _sweep_table(doc: dict) -> str:
+    table = render_table(
+        ("seed", "mean_rel_err_pct", "rmse_c"),
+        [r.values() for r in doc["ranking"]],
+    )
+    return f"sweep: {doc['source']}  mode={doc['mode']}\n{table}best seed: {doc['best_seed']}\n"
 
 
 def cmd_sweep(args) -> int:
@@ -341,7 +348,6 @@ def cmd_sweep(args) -> int:
     if reference is None:
         raise ValidationError("sweep needs reference observations: use a fixture or --reference")
     ranking = rank_seeds(compare_with_reference(run_configuration(config), reference))
-    best = ranking[0][1]
     doc = {
         **_header(name),
         "mode": config.darl_mode,
@@ -353,47 +359,48 @@ def cmd_sweep(args) -> int:
             }
             for mean_err, seed, rmse_c in ranking
         ],
-        "best_seed": best,
+        "best_seed": ranking[0][1],
     }
-    json_text = render_json(doc) + "\n"
-    _write_artifact(args.out_dir, f"{name}-sweep.json", json_text)
-    if args.format == "json":
-        sys.stdout.write(json_text)
-    else:
-        table = render_table(
-            ("seed", "mean_rel_err_pct", "rmse_c"),
-            [r.values() for r in doc["ranking"]],
-        )
-        sys.stdout.write(f"sweep: {name}  mode={config.darl_mode}\n{table}best seed: {best}\n")
+    _emit(args, doc, _sweep_table, f"{name}-sweep.json")
     return 0
 
 
+def _validate_table(doc: dict) -> str:
+    table = render_table(
+        ("source", "n", "W", "p", "normality", "q1", "median", "q3", "iqr"),
+        [_stats_cells(r["source"], r, "not rejected") for r in doc["results"]],
+    )
+    return f"validate: {doc['source']}  alpha={doc['alpha']}\n{table}"
+
+
 def cmd_validate(args) -> int:
-    rows = []
     if args.series is not None:
         if args.n_override is not None:
             raise ValidationError("--n-override does not apply to a --series file")
         values = load_series_csv(_read_input(args.series))
         source = os.path.basename(args.series)
-        rows.append({"source": source, **_distribution_stats(values)})
+        rows = [{"source": source, **_distribution_stats(values)}]
     else:
         source, config, _, _ = _resolve_inputs(args)
-        for seed in sorted(config.seeds):
-            rows.append({"source": f"seed {seed}", **_distribution_stats(build_series(config, seed))})
-    doc = {
-        **_header(source),
-        "alpha": ALPHA,
-        "results": rows,
-    }
-    if args.format == "json":
-        sys.stdout.write(render_json(doc) + "\n")
-    else:
-        table = render_table(
-            ("source", "n", "W", "p", "normality", "q1", "median", "q3", "iqr"),
-            [_stats_cells(r["source"], r, "not rejected") for r in rows],
-        )
-        sys.stdout.write(f"validate: {source}  alpha={ALPHA}\n{table}")
+        rows = [
+            {"source": f"seed {seed}", **_distribution_stats(build_series(config, seed))}
+            for seed in sorted(config.seeds)
+        ]
+    _emit(args, {**_header(source), "alpha": ALPHA, "results": rows}, _validate_table)
     return 0
+
+
+def _fixtures_table(doc: dict) -> str:
+    return render_table(
+        ("name", "t_in_c", "t_end_c", "t_w_c", "length_m", "targets", "n"),
+        [
+            (
+                e["name"], e["t_in_c"], e["t_end_c"], e["t_w_c"],
+                e["total_length_m"], len(e["target_lengths_m"]), e["sample_count"],
+            )
+            for e in doc["fixtures"]
+        ],
+    )
 
 
 def cmd_fixtures(args) -> int:
@@ -407,20 +414,7 @@ def cmd_fixtures(args) -> int:
             "reference_points": len(fixture.reference),
             "reported_rmse_c": fixture.reported_rmse_c,
         })
-    if args.format == "json":
-        sys.stdout.write(render_json({"fixtures": entries}) + "\n")
-    else:
-        table = render_table(
-            ("name", "t_in_c", "t_end_c", "t_w_c", "length_m", "targets", "n"),
-            [
-                (
-                    e["name"], e["t_in_c"], e["t_end_c"], e["t_w_c"],
-                    e["total_length_m"], len(e["target_lengths_m"]), e["sample_count"],
-                )
-                for e in entries
-            ],
-        )
-        sys.stdout.write(table)
+    _emit(args, {"fixtures": entries}, _fixtures_table)
     return 0
 
 

@@ -82,14 +82,16 @@ def _init_state_by_key(key: Sequence[int]) -> list[int]:
     return mt
 
 
-# Seeding is a pure function of the seed (an int) or key (a tuple): memoise the setstate
-# argument, about 24 KiB an entry. One memo of eight holds the five Fermat primes, all a
-# config admits, and the key of acceptance criterion 1's golden vector.
+# Seeding is a pure function of the seed (an int) or key (a tuple): memoise its 624 state
+# words as one read-only uint32 array, about 2.5 KiB an entry, and build setstate's tuple of
+# ints on use. One memo of eight holds the five Fermat primes, all a config admits, and the
+# key of acceptance criterion 1's golden vector.
 
 @lru_cache(maxsize=8)
-def _seeded_state(seed: int | tuple[int, ...]) -> tuple:
-    words = _init_state_by_key(seed) if isinstance(seed, tuple) else _init_state(seed)
-    return (3, (*words, _N), None)
+def _seeded_state(seed: int | tuple[int, ...]) -> np.ndarray:
+    words = np.array(_init_state_by_key(seed) if isinstance(seed, tuple) else _init_state(seed), np.uint32)
+    words.setflags(write=False)
+    return words
 
 
 class MersenneTwister(random.Random):
@@ -103,7 +105,7 @@ class MersenneTwister(random.Random):
         seed = int(seed)
         if not 0 <= seed <= _WORD_MASK:
             raise ValidationError(f"seed must be an unsigned 32-bit integer, got {seed}")
-        self.setstate(_seeded_state(seed))
+        self.setstate((3, (*_seeded_state(seed).tolist(), _N), None))
 
     @classmethod
     def from_key(cls, key: Sequence[int]) -> "MersenneTwister":
@@ -111,7 +113,7 @@ class MersenneTwister(random.Random):
         if not key:
             raise ValidationError("seeding key must be nonempty")
         gen = cls.__new__(cls)
-        gen.setstate(_seeded_state(tuple(int(k) & _WORD_MASK for k in key)))
+        gen.setstate((3, (*_seeded_state(tuple(int(k) & _WORD_MASK for k in key)).tolist(), _N), None))
         return gen
 
     def draw_words(self, count: int) -> np.ndarray:

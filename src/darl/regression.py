@@ -24,11 +24,11 @@ from .errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples,
 _EXTRACT_FROM = 300  # fewer values go to math.fsum, as fast there: 5-7 us a sum either way
 
 
-def _exact_sum(a: np.ndarray, bound: float | None = None) -> float:
+def _exact_sum(a: np.ndarray, bound: float) -> float:
     """``math.fsum(a)`` for a 1-D float64 array, without a Python float per value.
 
-    One level: sigma = 2^k >= 2(n+2)·bound, where bound >= max|a| (``a``'s own when omitted), splits a
-    exactly into t = (a + sigma) - sigma, multiples of 2^(k-53) that numpy sums exactly into head, and
+    One level: sigma = 2^k >= 2(n+2)·bound, where bound >= max|a|, splits a exactly into
+    t = (a + sigma) - sigma, multiples of 2^(k-53) that numpy sums exactly into head, and
     a - t, each at most 2^(k-53), that numpy sums in any order into tail with an error below
     n²·2^(k-106) (for n < 2^26; no larger n passes the test). With res = head + tail and e its TwoSum
     error, res is the nearest float to the sum when |e| + n²·2^(k-105) < ulp(res)/2, or ulp(res)/4
@@ -39,8 +39,6 @@ def _exact_sum(a: np.ndarray, bound: float | None = None) -> float:
     """
     n = len(a)
     if n >= _EXTRACT_FROM:
-        if bound is None:
-            bound = float(np.abs(a).max())
         if 2.0**-900 < bound < 2.0**900:  # False for a NaN
             k = math.frexp(2 * (n + 2) * bound)[1]
             sigma = math.ldexp(1.0, k)

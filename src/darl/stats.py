@@ -65,7 +65,7 @@ class QuartileSummary:
     iqr: float
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)  # the fixtures' two sizes; another n is seldom met twice
 def _sw_weights(n: int) -> tuple[np.ndarray, float]:
     """Centered Shapiro-Wilk weights for sample size n >= 3 and their square sum; read-only, cached per n."""
     half = n // 2

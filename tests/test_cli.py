@@ -432,15 +432,33 @@ def test_entry_point_subprocess(tmp_path):
     assert (tmp_path / "experiment-a-report.json").exists()
 
 
-def test_cli_import_loads_no_unneeded_modules():
-    # nothing logs, the draws use random.Random, not numpy.random, and seeding packs no array
+UNNEEDED_MODULES_PROBE = """
+import contextlib, io, json, sys
+import darl.cli
+unneeded = {'array', 'darl._series_csv', 'logging', 'numpy.random'}
+loaded = [sorted(unneeded & set(sys.modules))]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert darl.cli.main(argv) == 0
+    loaded.append(sorted(unneeded & set(sys.modules)))
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_import_loads_no_unneeded_modules(tmp_path):
+    # nothing logs, the draws use random.Random, not numpy.random, seeding packs no array, and
+    # only generate loads the series CSV writer: not the import, nor run, sweep or validate after it
+    argvs = [
+        ["run", "--fixture", "experiment-a", "--out-dir", str(tmp_path)],
+        ["sweep", "--fixture", "experiment-b", "--out-dir", str(tmp_path)],
+        ["validate", "--fixture", "experiment-a"],
+    ]
     probe = subprocess.run(
-        [sys.executable, "-c",
-         "import darl.cli, sys; print(sorted({'array', 'logging', 'numpy.random'} & set(sys.modules)))"],
+        [sys.executable, "-c", UNNEEDED_MODULES_PROBE, json.dumps(argvs)],
         capture_output=True, text=True, timeout=60,
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout == "[]\n"
+    assert json.loads(probe.stdout) == [[]] * 4
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -638,6 +656,34 @@ def counting(monkeypatch, name, module=darl.model):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+# The report and sweep documents are rendered once, as the written artifact that --format json
+# prints; validate and fixtures write none, so they render only for --format json.
+@pytest.mark.parametrize("argv, renders", [
+    (["run", "--fixture", "experiment-a", "--format", "json"], 1),
+    (["run", "--fixture", "experiment-a", "--format", "table"], 1),
+    (["run", "--fixture", "experiment-a", "--format", "csv"], 1),
+    (["sweep", "--fixture", "experiment-b", "--format", "json"], 1),
+    (["sweep", "--fixture", "experiment-b", "--format", "table"], 1),
+    (["validate", "--fixture", "experiment-a", "--format", "json"], 1),
+    (["validate", "--fixture", "experiment-a", "--format", "table"], 0),
+    (["validate", "--series", "series.csv", "--format", "json"], 1),
+    (["validate", "--series", "series.csv", "--format", "table"], 0),
+    (["fixtures", "--format", "json"], 1),
+    (["fixtures", "--format", "table"], 0),
+])
+def test_each_command_renders_its_json_at_most_once(tmp_path, capsys, monkeypatch, argv, renders):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--seed", "3", "--n", "540", "--min", "25.81", "--max", "31.01",
+                 "--out", "series.csv"]) == 0
+    capsys.readouterr()
+    documents = counting(monkeypatch, "render_json", darl.cli)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(documents) == renders
+    if argv[-1] == "json":
+        assert json.loads(out)
 
 
 def fitted_series(batches, fit_seeds_calls):

@@ -51,8 +51,8 @@ def test_empty_seeding_key_rejected():
 
 
 def test_seeded_state_memo_memory_is_bounded():
-    # each memo entry is a 625-int setstate tuple, about 24 KiB; 200 fresh seeds or 20 fresh keys
-    # (more than one memo holds; key seeding is slow under tracemalloc) must not all stay
+    # each memo entry is a read-only array of 624 uint32 words, about 2.5 KiB; 200 fresh seeds
+    # or 20 fresh keys (more than one memo holds; key seeding is slow under tracemalloc) must not all stay
     prng._seeded_state.cache_clear()
     tracemalloc.start()
     try:
@@ -63,7 +63,7 @@ def test_seeded_state_memo_memory_is_bounded():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained < 256 * 1024, retained
+    assert retained < 64 * 1024, retained
 
 
 @pytest.mark.parametrize("edge", [0, 2**32 - 1])
