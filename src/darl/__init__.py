@@ -48,8 +48,9 @@ from .model import (
     build_series,
     compare_with_reference,
     darl_temperature,
+    fit_seeds,
+    predict,
     rank_seeds,
-    run_configuration,
 )
 from .prng import (
     KNOWN_FERMAT_PRIMES,

@@ -35,7 +35,6 @@ from .model import (
     fit_seeds,
     predict,
     rank_seeds,
-    run_configuration,
 )
 from .prng import MAX_SAMPLE_COUNT, uniform_series
 from .serialize import (
@@ -347,7 +346,7 @@ def cmd_sweep(args) -> int:
     name, config, reference, fixture = _resolve_inputs(args)
     if reference is None:
         raise ValidationError("sweep needs reference observations: use a fixture or --reference")
-    ranking = rank_seeds(compare_with_reference(run_configuration(config), reference))
+    ranking = rank_seeds(compare_with_reference(predict(config, fit_seeds(config)), reference))
     doc = {
         **_header(name),
         "mode": config.darl_mode,

@@ -255,11 +255,6 @@ def predict(config: ExperimentConfig, fits: Iterable[SeedFit]) -> list[Predictio
     return records
 
 
-def run_configuration(config: ExperimentConfig) -> list[PredictionRecord]:
-    """All predictions for a configuration, ordered by (seed, target length)."""
-    return predict(config, fit_seeds(config))
-
-
 def compare_with_reference(
     records: Sequence[PredictionRecord],
     reference: Iterable[tuple[float, float]],

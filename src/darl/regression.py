@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples, ShapeMismatch, ValidationError
 
 
-_EXTRACT_FROM = 300  # fewer values go to math.fsum, as fast there: 5-7 us a sum either way
+_EXTRACT_FROM = 300  # fewer values go to math.fsum: 0.5-8 us a sum (n = 2-299), the extraction 7.5-8.5 us
 
 
 def _exact_sum(a: np.ndarray, bound: float) -> float:

@@ -18,7 +18,7 @@ import darl.prng
 from darl.cli import main
 from darl.errors import UnknownFixture
 from darl.ingest import load_config, load_fixture
-from darl.model import ExperimentConfig, run_configuration
+from darl.model import ExperimentConfig, fit_seeds, predict
 from darl.prng import MAX_SAMPLE_COUNT, MersenneTwister
 from darl.serialize import render_series_csv
 
@@ -281,7 +281,7 @@ def test_sweep_constructed_winner(tmp_path, capsys):
         t_in_c=31.01, t_end_c=25.81, t_w_c=24.28, total_length_m=5.4,
         target_lengths_m=(2.5, 3.4, 4.4), seeds=(3, 5, 17),
     )
-    seed_5 = {r.target_length_m: r.t_sim_c for r in run_configuration(config)
+    seed_5 = {r.target_length_m: r.t_sim_c for r in predict(config, fit_seeds(config))
               if r.seed == 5}
     config_path = tmp_path / "constructed.json"
     config_path.write_text(json.dumps(vars(config)))

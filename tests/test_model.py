@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ from darl.model import (
     compare_with_reference,
     darl_temperature,
     fit_seeds,
+    predict,
     rank_seeds,
-    run_configuration,
 )
-from darl.prng import MAX_SAMPLE_COUNT, uniform_series
+from darl.prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, uniform_series
 from darl.regression import fit_lines, fit_ols
 
 
@@ -213,8 +214,9 @@ def test_flat_series_degenerates_downstream():
         fit_ols(zip(grid.tolist(), series.tolist()))
 
 
-def test_run_configuration_single_seed():
-    records = run_configuration(config_a(seeds=(5,)))
+def test_predict_single_seed():
+    config = config_a(seeds=(5,))
+    records = predict(config, fit_seeds(config))
     assert len(records) == 3
     for record in records:
         assert record.seed == 5
@@ -222,32 +224,44 @@ def test_run_configuration_single_seed():
         assert 0.0 < record.r_squared <= 1.0
 
 
-def test_run_configuration_deterministic():
+def test_predict_deterministic():
     config = config_a()
-    assert run_configuration(config) == run_configuration(config)
+    assert predict(config, fit_seeds(config)) == predict(config, fit_seeds(config))
 
 
-def test_run_configuration_count_and_order():
-    records = run_configuration(config_b())
+def test_predict_count_and_order():
+    config = config_b()
+    records = predict(config, fit_seeds(config))
     assert len(records) == 20
     keys = [(r.seed, r.target_length_m) for r in records]
     assert keys == sorted(keys)
 
 
-def test_run_configuration_order_independent_of_input_order():
+def test_predict_order_independent_of_input_order():
     shuffled = config_a(seeds=(65537, 3, 257, 5, 17), target_lengths_m=(4.4, 2.5, 3.4))
-    assert run_configuration(shuffled) == run_configuration(config_a())
+    config = config_a()
+    assert predict(shuffled, fit_seeds(shuffled)) == predict(config, fit_seeds(config))
 
 
-def test_run_configuration_flag_agreement():
-    for record in run_configuration(config_b()):
+def test_predict_flag_agreement():
+    config = config_b()
+    for record in predict(config, fit_seeds(config)):
         inside = min(24.54, 24.28) <= record.t_sim_c <= 31.01
         assert record.out_of_range == (not inside)
 
 
-def test_run_configuration_validates():
+def test_predict_validates():
     with pytest.raises(ValidationError):
-        run_configuration(config_a(t_end_c=31.01))
+        config_a(t_end_c=31.01)
+
+
+def test_readme_library_example_runs():
+    # the first python block under README's "## Library use", run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    namespace = {}
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    assert namespace["ranking"][0][1] in KNOWN_FERMAT_PRIMES
 
 
 def make_records(t_sims, seed=5):
