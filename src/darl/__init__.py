@@ -19,54 +19,12 @@ if "numpy" not in _sys.modules and not _THREAD_VARS & set(_os.environ):
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .errors import (
-    DarlError,
-    DegenerateAbscissa,
-    DegenerateVariance,
-    DivisionByZero,
-    InsufficientSamples,
-    InvalidBounds,
-    InvalidCoefficient,
-    MissingReference,
-    NumericalDegeneracy,
-    ParseError,
-    SchemaError,
-    ShapeMismatch,
-    Singularity,
-    UnknownFixture,
-    UnsupportedSampleSize,
-    ValidationError,
-)
-from .ingest import FIXTURE_NAMES, Fixture, load_config, load_fixture
-from .model import (
-    AS_PRINTED,
-    DARL_MODES,
-    SPAN_OVER_PHI_R2,
-    ComparisonRecord,
-    ExperimentConfig,
-    PredictionRecord,
-    build_series,
-    compare_with_reference,
-    darl_temperature,
-    fit_seeds,
-    predict,
-    rank_seeds,
-)
-from .prng import (
-    KNOWN_FERMAT_PRIMES,
-    SORT_ORDERS,
-    MersenneTwister,
-    uniform_series,
-)
-from .regression import LinearFit, fit_ols, predict_at
-from .stats import (
-    NormalityResult,
-    QuartileSummary,
-    quartile_summary,
-    relative_error,
-    rmse,
-    shapiro_wilk,
-)
+from .errors import DarlError
+from .ingest import load_fixture
+from .model import ExperimentConfig, compare_with_reference, fit_seeds, predict, rank_seeds
+from .prng import MersenneTwister, uniform_series
+from .regression import fit_ols, predict_at
+from .stats import quartile_summary, relative_error, rmse, shapiro_wilk
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-from .cli import entry
+from .cli import main
 
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

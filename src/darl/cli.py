@@ -498,7 +498,3 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, NumericalDegeneracy):  # a DarlError, so tested first
             return 4
         return 2 if isinstance(exc, DarlError) else 3
-
-
-def entry() -> None:
-    raise SystemExit(main())

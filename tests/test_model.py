@@ -2,11 +2,14 @@
 
 import math
 import random
+import re
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import darl
 import darl.model
 from darl.errors import (
     DegenerateVariance,
@@ -262,6 +265,20 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(section.split("```python\n", 1)[1].split("```", 1)[0], namespace)
     assert namespace["ranking"][0][1] in KNOWN_FERMAT_PRIMES
+
+
+def test_top_level_names_are_the_readme_library_api():
+    # a rename cannot leave a stale alias behind: darl exports what "## Library use" names, nothing else
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    public = {name for name, value in vars(darl).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {
+        "ExperimentConfig", "compare_with_reference", "fit_seeds", "predict", "rank_seeds",
+        "MersenneTwister", "uniform_series", "fit_ols", "predict_at", "shapiro_wilk", "rmse",
+        "relative_error", "quartile_summary", "load_fixture", "DarlError",
+    }
+    assert [name for name in sorted(public) if not re.search(rf"\b{name}\b", section)] == []
 
 
 def make_records(t_sims, seed=5):
