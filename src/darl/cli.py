@@ -321,12 +321,12 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     name, config, reference, fixture = _resolve_inputs(args)
     report = _build_report(name, config, reference, fixture)
-    # the best seed's rows; without a reference, the header alone
+    # the best seed's rows, in predict's ascending length order; without a reference, the header alone
     comparisons = report.get("comparisons", [])
-    plot_text = render_plot_csv(sorted(
+    plot_text = render_plot_csv(
         (c["target_length_m"], c["t_sim_c"], c["t_obs_c"])
         for c in comparisons if c["seed"] == report["best_seed"]
-    ))
+    )
     plot = [(f"{name}-plot.csv", plot_text)] if comparisons else []
     table = _run_tables if args.format == "table" else lambda _: plot_text
     _emit(args, report, table, f"{name}-report.json", *plot)

@@ -143,6 +143,14 @@ def test_run_plot_csv_columns(tmp_path, capsys):
     assert len(lines) == 4  # best seed only: one row per target length
     lengths = [float(line.split(",")[0]) for line in lines[1:]]
     assert lengths == [2.5, 3.4, 4.4]
+    # target lengths given out of order still plot in ascending order
+    config_path = write_config(tmp_path, "unordered", target_lengths_m=(4.4, 2.5, 3.4))
+    (tmp_path / "reference.csv").write_text("length_m,t_obs_c\n2.5,28.8\n3.4,27.37\n4.4,26.67\n")
+    assert main(["run", "--config", str(config_path), "--reference", str(tmp_path / "reference.csv"),
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "unordered-plot.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [2.5, 3.4, 4.4]
 
 
 def test_run_report_structure(tmp_path, capsys):
@@ -413,9 +421,10 @@ def test_config_dump_load_through_cli_artifacts(tmp_path, capsys):
 
 
 def test_entry_point_subprocess(tmp_path):
+    env = {**os.environ, "PYTHONWARNINGS": "error"}
     version = subprocess.run(
         [sys.executable, "-m", "darl", "--version"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert version.returncode == 0
     assert version.stdout.strip().startswith("darl ")
@@ -423,13 +432,13 @@ def test_entry_point_subprocess(tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "darl", "run", "--fixture", "experiment-a",
          "--out-dir", str(tmp_path), "--format", "json"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert run.returncode == 0
     report = json.loads(run.stdout)
     assert report["source"] == "experiment-a"
     assert "wall_time_s=" in run.stderr
-    assert (tmp_path / "experiment-a-report.json").exists()
+    assert (tmp_path / "experiment-a-report.json").read_text() == run.stdout
 
 
 UNNEEDED_MODULES_PROBE = """
@@ -1115,6 +1124,15 @@ def test_sweeps_in_one_process_cut_series_from_the_kept_streams(tmp_path, capsys
         (3, 5, 17, 257, 65537), 6_000)
     darl.prng._kept_streams.clear()  # the 20 m sweep drawn fresh, as in a new process
     assert sweep("short.json") == outs[1]
+    # and the 60 m sweep in a real new process, which imports this darl from here, warnings as errors
+    env = {**os.environ, "PYTHONPATH": str(Path(darl.__file__).parents[1]), "PYTHONWARNINGS": "error"}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "darl", "sweep", "--config", "long.json", "--reference", "reference.csv",
+         "--format", "json"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == outs[0]
 
 
 # An artifact is rewritten in place: opened without O_TRUNC and cut after the write, so a longer
