@@ -99,7 +99,6 @@ def _series_lines(x: np.ndarray) -> str:
     pairs[0] = 0
     pairs[15, 1] = 10
     rest = np.flatnonzero(fallback)
-    mat[:-1, rest] = 0  # an empty line, filled by % below
     text = mat.T.tobytes().translate(None, b"\0").decode("ascii")
     if not rest.size:
         return text

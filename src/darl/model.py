@@ -153,16 +153,12 @@ class ExperimentConfig:
             raise ValidationError("target length list must be nonempty")
         for x in self.target_lengths_m:
             if not 0.0 < x < self.total_length_m:
-                raise ValidationError(
-                    f"target length {x} m outside (0, {self.total_length_m})"
-                )
+                raise ValidationError(f"target length {x} m outside (0, {self.total_length_m})")
         if not self.seeds:
             raise ValidationError("seed list must be nonempty")
         for s in self.seeds:
             if s not in KNOWN_FERMAT_PRIMES:
-                raise ValidationError(
-                    f"seed {s} is not a known Fermat prime {KNOWN_FERMAT_PRIMES}"
-                )
+                raise ValidationError(f"seed {s} is not a known Fermat prime {KNOWN_FERMAT_PRIMES}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError("seed list contains duplicates")
         if len(set(self.target_lengths_m)) != len(self.target_lengths_m):

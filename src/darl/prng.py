@@ -82,6 +82,13 @@ def _init_state_by_key(key: Sequence[int]) -> list[int]:
     return mt
 
 
+def _whole(value, what: str) -> int:
+    """An int or numpy integer as an int; a bool, float or string is refused, never truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 # Seeding is a pure function of the seed (an int) or key (a tuple): memoise its 624 state
 # words as one read-only uint32 array, about 2.5 KiB an entry, and build setstate's tuple of
 # ints on use. One memo of eight holds the five Fermat primes, all a config admits, and the
@@ -102,7 +109,7 @@ class MersenneTwister(random.Random):
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
+        seed = _whole(seed, "seed")
         if not 0 <= seed <= _WORD_MASK:
             raise ValidationError(f"seed must be an unsigned 32-bit integer, got {seed}")
         self.setstate((3, (*_seeded_state(seed).tolist(), _N), None))
@@ -112,8 +119,9 @@ class MersenneTwister(random.Random):
         """Array-seeded generator, matching the reference init-by-array scheme."""
         if not key:
             raise ValidationError("seeding key must be nonempty")
+        words = tuple(_whole(k, "seeding key word") & _WORD_MASK for k in key)
         gen = cls.__new__(cls)
-        gen.setstate((3, (*_seeded_state(tuple(int(k) & _WORD_MASK for k in key)).tolist(), _N), None))
+        gen.setstate((3, (*_seeded_state(words).tolist(), _N), None))
         return gen
 
     def draw_words(self, count: int) -> np.ndarray:
@@ -165,7 +173,7 @@ def uniform_series(
     if order not in SORT_ORDERS:
         raise ValidationError(f"order must be one of {SORT_ORDERS}, got {order!r}")
 
-    values = t_min + _units(seed, n) * (t_max - t_min)
+    values = t_min + _units(_whole(seed, "seed"), n) * (t_max - t_min)
     # guard the closed-bound contract against the last-ulp of the affine map
     np.clip(values, t_min, t_max, out=values)
     values.sort()

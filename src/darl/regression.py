@@ -21,9 +21,6 @@ import numpy as np
 from .errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples, ShapeMismatch, ValidationError
 
 
-_EXTRACT_FROM = 300  # fewer values go to math.fsum: 0.5-8 us a sum (n = 2-299), the extraction 7.5-8.5 us
-
-
 def _exact_sum(a: np.ndarray, bound: float) -> float:
     """``math.fsum(a)`` for a 1-D float64 array, without a Python float per value.
 
@@ -33,25 +30,23 @@ def _exact_sum(a: np.ndarray, bound: float) -> float:
     n²·2^(k-106) (for n < 2^26; no larger n passes the test). With res = head + tail and e its TwoSum
     error, res is the nearest float to the sum when |e| + n²·2^(k-105) < ulp(res)/2, or ulp(res)/4
     when |res| is a power of two; the inequality is strict, so no tie passes. Otherwise math.fsum:
-    below _EXTRACT_FROM values, for a bound outside (2^-900, 2^900) (a NaN, an infinity, or an error
-    term that would underflow), or for a zero total or a failed certificate (a tie, a sum near a
-    midpoint, heavy cancellation).
+    for a bound outside (2^-900, 2^900) (a NaN, an infinity, or an error term that would underflow),
+    or for a zero total or a failed certificate (a tie, a sum near a midpoint, heavy cancellation).
     """
     n = len(a)
-    if n >= _EXTRACT_FROM:
-        if 2.0**-900 < bound < 2.0**900:  # False for a NaN
-            k = math.frexp(2 * (n + 2) * bound)[1]
-            sigma = math.ldexp(1.0, k)
-            t = np.add(a, sigma)
-            t -= sigma
-            head = float(t.sum())
-            tail = float(np.subtract(a, t, out=t).sum())
-            res = head + tail
-            back = res - head
-            e = (head - (res - back)) + (tail - back)
-            spacing = math.ulp(res) / (4.0 if abs(math.frexp(res)[0]) == 0.5 else 2.0)
-            if res and abs(e) + math.ldexp(n * n, k - 105) < spacing:
-                return res
+    if 2.0**-900 < bound < 2.0**900:  # False for a NaN
+        k = math.frexp(2 * (n + 2) * bound)[1]
+        sigma = math.ldexp(1.0, k)
+        t = np.add(a, sigma)
+        t -= sigma
+        head = float(t.sum())
+        tail = float(np.subtract(a, t, out=t).sum())
+        res = head + tail
+        back = res - head
+        e = (head - (res - back)) + (tail - back)
+        spacing = math.ulp(res) / (4.0 if abs(math.frexp(res)[0]) == 0.5 else 2.0)
+        if res and abs(e) + math.ldexp(n * n, k - 105) < spacing:
+            return res
     return math.fsum(memoryview(a))
 
 

@@ -5,8 +5,7 @@ directory that holds only its input files. It is reduced to one sha256 over each
 command's exit code, stdout and stderr without the ``wall_time_s=`` line, then
 every file in the directory afterwards. ``cli_corpus.json`` pins one digest per
 entry; ``test_cli_corpus.py`` replays them. All five subcommands are covered:
-40 random configs through ``run`` and ``sweep`` (n from 500 to 10,000, every one
-above the 300 values from which the fit's exact sums leave ``math.fsum``), both
+40 random configs through ``run`` and ``sweep`` (n from 500 to 10,000), both
 predictor modes and sort orders, ``--seeds`` subsets, the two fixtures, inputs
 that end in exit 2, 3 and 4, and the hand-written ``generate``, ``validate``,
 ``fixtures``, ``run`` and ``sweep`` commands whose stdout the fixture reports,

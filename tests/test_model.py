@@ -102,6 +102,8 @@ def test_predictor_in_range_case_not_flagged():
     t_sim, flagged = darl_temperature(31.01, 30.99, 24.28, 28.0, 0.95)
     assert 24.28 <= t_sim <= 31.01
     assert not flagged
+    # a result on the band's lower edge, min(t_min, t_w), is in range
+    assert darl_temperature(25.0, 25.0, 26.0, 25.0, 0.9) == (25.0, False)
 
 
 def test_predictor_monotone_decreasing_in_r_squared():
@@ -136,32 +138,38 @@ def test_config_validation_accepts_fixture_shapes():
     config_b()
 
 
-@pytest.mark.parametrize("overrides", [
-    {"t_end_c": 31.01},                     # t_in must exceed t_end
-    {"t_end_c": 32.0},
-    {"target_lengths_m": (0.0, 2.5)},       # target on the boundary
-    {"target_lengths_m": (2.5, 5.4)},
-    {"target_lengths_m": (9.0,)},
-    {"total_length_m": 0.0},
-    {"total_length_m": -1.0},
-    {"seeds": ()},
-    {"seeds": (3, 4)},                      # 4 is not a Fermat prime
-    {"seeds": (5, 5)},
-    {"t_w_uncertainty_c": -0.01},
-    {"n_override": 1},
-    {"sort_order": "sideways"},
-    {"darl_mode": "telepathy"},
-    {"t_in_c": 1e307},                      # beyond TEMPERATURE_LIMIT_C
-    {"t_w_c": -2e6},
-    {"total_length_m": 1e307},              # 100 * L overflows before any int()
-    {"n_override": MAX_SAMPLE_COUNT + 1},
-    {"total_length_m": 1e307, "n_override": 600},  # the grid would overflow
-    {"total_length_m": 10_000.5, "n_override": 2},
-    {"target_lengths_m": (2.5, 2.5, 3.4)},  # a repeated length would count twice
-    {"target_lengths_m": ()},
-])
-def test_config_validation_rejections(overrides):
-    with pytest.raises(ValidationError):
+CONFIG_REJECTIONS = [  # (overrides, the message of the rule that refuses them)
+    ({"t_end_c": 31.01}, "must exceed t_end_c"),  # t_in must exceed t_end
+    ({"t_end_c": 32.0}, "must exceed t_end_c"),
+    ({"target_lengths_m": (0.0, 2.5)}, r"target length 0\.0 m outside"),  # target on the boundary
+    ({"target_lengths_m": (2.5, 5.4)}, r"target length 5\.4 m outside"),
+    ({"target_lengths_m": (9.0,)}, r"target length 9\.0 m outside"),
+    ({"total_length_m": 0.0}, "total_length_m must be positive"),
+    ({"total_length_m": -1.0}, "total_length_m must be positive"),
+    ({"seeds": ()}, "seed list must be nonempty"),
+    ({"seeds": (3, 4)}, "seed 4 is not a known Fermat prime"),  # 4 is not a Fermat prime
+    ({"seeds": (5, 5)}, "seed list contains duplicates"),
+    ({"t_w_uncertainty_c": -0.01}, "t_w_uncertainty_c must be nonnegative"),
+    ({"n_override": 1}, "n_override must be at least 2"),
+    ({"sort_order": "sideways"}, "sort_order must be one of"),
+    ({"darl_mode": "telepathy"}, "darl_mode 'telepathy' is not registered"),
+    ({"t_in_c": 1e307}, "t_in_c must lie within"),  # beyond TEMPERATURE_LIMIT_C
+    ({"t_w_c": -2e6}, "t_w_c must lie within"),
+    ({"total_length_m": 1e307}, "series length inf exceeds the maximum"),  # 100 * L overflows before any int()
+    ({"n_override": MAX_SAMPLE_COUNT + 1}, "series length 1000001 exceeds the maximum"),
+    # the grid would overflow
+    ({"total_length_m": 1e307, "n_override": 600}, r"total_length_m 1e\+307 exceeds the maximum"),
+    ({"total_length_m": 10_000.5, "n_override": 2}, r"total_length_m 10000\.5 exceeds the maximum"),
+    # a repeated length would count twice
+    ({"target_lengths_m": (2.5, 2.5, 3.4)}, "target length list contains duplicates"),
+    ({"target_lengths_m": ()}, "target length list must be nonempty"),
+]
+
+
+@pytest.mark.parametrize("overrides, match", CONFIG_REJECTIONS,
+                         ids=[f"overrides{i}" for i in range(len(CONFIG_REJECTIONS))])
+def test_config_validation_rejections(overrides, match):
+    with pytest.raises(ValidationError, match=match):
         config_a(**overrides)
 
 
@@ -183,6 +191,7 @@ def test_sample_count_rule():
     assert config_a().sample_count() == 540
     assert config_b().sample_count() == 830
     assert config_a(n_override=538).sample_count() == 538
+    assert config_a(n_override=MAX_SAMPLE_COUNT).sample_count() == 1_000_000  # the bound itself is accepted
 
 
 def test_build_series_grid_and_pairing(monkeypatch):

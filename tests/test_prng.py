@@ -50,6 +50,31 @@ def test_empty_seeding_key_rejected():
         MersenneTwister.from_key(())
 
 
+@pytest.mark.parametrize("seed", [5.7, 5.0, "5", True, np.float64(5.0), None], ids=repr)
+def test_seed_that_is_not_an_integer_is_rejected(seed):
+    # int() would truncate 5.7, parse "5" and read True as 1; each is refused instead
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        MersenneTwister(seed)
+    with pytest.raises(ValidationError, match="seeding key word must be an integer"):
+        MersenneTwister.from_key((0x123, seed))
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        uniform_series(seed, 4, 0.0, 1.0)
+
+
+def test_non_integer_seed_is_rejected_before_the_kept_streams():
+    uniform_series(5, 4, 0.0, 1.0)
+    assert 5.0 in prng._kept_streams  # a float key finds seed 5's stream
+    with pytest.raises(ValidationError, match="seed must be an integer, got float"):
+        uniform_series(5.0, 4, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5), np.int8(5)], ids=repr)
+def test_numpy_integer_seeds_are_accepted(seed):
+    assert MersenneTwister(seed).getstate() == MersenneTwister(5).getstate()
+    assert MersenneTwister.from_key((seed, 0x123)).getstate() == MersenneTwister.from_key((5, 0x123)).getstate()
+    assert np.array_equal(uniform_series(seed, 4, 0.0, 1.0), uniform_series(5, 4, 0.0, 1.0))
+
+
 def test_seeded_state_memo_memory_is_bounded():
     # each memo entry is a read-only array of 624 uint32 words, about 2.5 KiB; 200 fresh seeds
     # or 20 fresh keys (more than one memo holds; key seeding is slow under tracemalloc) must not all stay
@@ -64,6 +89,9 @@ def test_seeded_state_memo_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert retained < 64 * 1024, retained
+    # a memo entry is shared by every generator of its seed or key, so no caller may write to it
+    assert not prng._seeded_state(5).flags.writeable
+    assert not prng._seeded_state((5, 0x123)).flags.writeable
 
 
 @pytest.mark.parametrize("edge", [0, 2**32 - 1])

@@ -5,7 +5,6 @@ import math
 import random
 import types
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,8 +111,7 @@ def test_fixture_fits_equal_pure_python_reference_bit_for_bit(fixture):
         assert seed_fit.fit == centered_fsum_reference(grid, series.tolist())
 
 
-# sizes from 999, all above the 300 values from which _exact_sum sums by extraction rather than by
-# fsum, up to long-sweep's 10,000
+# sizes from 999 up to long-sweep's 10,000
 @pytest.mark.parametrize("n", [999, 1000, 1001, 1199, 1200, 2000, 6000, 10000])
 @pytest.mark.parametrize("order", SORT_ORDERS)
 def test_large_fits_equal_pure_python_reference_bit_for_bit(n, order):
@@ -138,8 +136,8 @@ SPECIAL_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1
 def sum_inputs(draw):
     """A 1-D float64 array: random values at one scale, with a few special values planted.
 
-    Its length lies on either side of the 300 values from which _exact_sum sums by extraction;
-    8e270 stays just under extraction's 2^900 limit, and 1e298 and above go to fsum.
+    Its length runs from 0 to 2,600 values; 8e270 stays just under extraction's 2^900 limit, and
+    1e298 and above go to fsum.
     """
     n = draw(st.integers(0, 999) | st.integers(1_000, 2_600))
     scale = draw(st.sampled_from((0.0, 1e-310, 1e-300, 1e-20, 1.0, 31.01, 1e20, 8e270, 1e298, 1e300, 1e308)))
@@ -174,7 +172,7 @@ def test_exact_sum_equals_fsum(values):
 
 
 def exact_sum_edge_cases():
-    """(id, array) pairs for the extraction's limits, each of at least 1,000 values, so all extracted."""
+    """(id, array) pairs for the extraction's limits, each of at least 1,000 values."""
     rng = np.random.default_rng(2008)
     subnormals = rng.integers(-2**52, 2**52, 1_500) * 5e-324  # exact multiples of 2^-1074
     mixed = subnormals.copy()
@@ -250,18 +248,8 @@ def test_exact_sum_falls_back_to_fsum_only_where_the_certificate_declines(values
 
 @pytest.mark.parametrize("values", [[31.01], [-2.0**-60], [1.0, 2.0**-53], [25.81, -31.01], [1e-300, 3e-300]],
                          ids=["one", "one-tiny", "two-tie", "two", "two-tiny"])
-def test_exact_sum_of_one_or_two_values_equals_fsum_by_either_path(values, monkeypatch):
-    array = np.array(values)
-    assert repr(exact_sum(array)) == repr(math.fsum(values))
-    monkeypatch.setattr(darl.regression, "_EXTRACT_FROM", 1)
-    assert repr(exact_sum(array)) == repr(math.fsum(values))
-
-
-@settings(max_examples=300, deadline=None)
-@given(values=sum_inputs())
-def test_exact_sum_equals_fsum_through_the_certificate_at_every_length(values):
-    with mock.patch.object(darl.regression, "_EXTRACT_FROM", 1):
-        assert fsum_outcome(exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
+def test_exact_sum_of_one_or_two_values_equals_fsum(values):
+    assert repr(exact_sum(np.array(values))) == repr(math.fsum(values))
 
 
 def long_sweep_configs():
@@ -356,7 +344,9 @@ def test_fit_lines_raises_in_fit_ols_order():
     assert fit_lines(x, []) == []
 
 
-@pytest.mark.parametrize("y", [[math.nan, 2.0, 3.0], [math.inf, 2.0, -math.inf]], ids=["nan", "inf-and-minus-inf"])
+# minus-inf-only: the maximum is finite, so both extremes must be checked
+@pytest.mark.parametrize("y", [[math.nan, 2.0, 3.0], [math.inf, 2.0, -math.inf], [-math.inf, 1.0, 2.0]],
+                         ids=["nan", "inf-and-minus-inf", "minus-inf-only"])
 def test_fit_ols_rejects_non_finite_points(y):
     with pytest.raises(ValidationError, match="finite"):
         fit_ols(zip([0.0, 1.0, 2.0], y))
