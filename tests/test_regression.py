@@ -133,13 +133,13 @@ SPECIAL_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1
 
 
 @st.composite
-def sum_inputs(draw):
+def sum_inputs(draw, lengths=st.integers(0, 999) | st.integers(1_000, 2_600)):
     """A 1-D float64 array: random values at one scale, with a few special values planted.
 
-    Its length runs from 0 to 2,600 values; 8e270 stays just under extraction's 2^900 limit, and
-    1e298 and above go to fsum.
+    Its length is drawn from lengths, by default 0 to 2,600 values; 8e270 stays just under
+    extraction's 2^900 limit, and 1e298 and above go to fsum.
     """
-    n = draw(st.integers(0, 999) | st.integers(1_000, 2_600))
+    n = draw(lengths)
     scale = draw(st.sampled_from((0.0, 1e-310, 1e-300, 1e-20, 1.0, 31.01, 1e20, 8e270, 1e298, 1e300, 1e308)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = scale * rng.uniform(-1.0 if draw(st.booleans()) else 0.0, 1.0, n)
@@ -168,6 +168,14 @@ def fsum_outcome(sum_function, values):
 @example(values=np.array([math.inf, -math.inf] + [1.0] * 1_500))  # fsum raises ValueError
 @example(values=np.array([1e308, 1e308, -1e308, -1e308, 1.0] * 300))  # fsum overflows midway
 def test_exact_sum_equals_fsum(values):
+    assert fsum_outcome(exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
+
+
+# the short arrays, under 300 values, that sum_inputs() seldom draws: they go through the extraction
+# and its certificate like any other, with no size at which fsum takes over
+@settings(max_examples=300, deadline=None)
+@given(values=sum_inputs(st.integers(0, 299)))
+def test_exact_sum_equals_fsum_through_the_certificate_at_every_length(values):
     assert fsum_outcome(exact_sum, values) == fsum_outcome(lambda a: math.fsum(a.tolist()), values)
 
 
