@@ -19,9 +19,9 @@ divides the temperature span by t_phi * r_squared instead.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields
-from statistics import fmean
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -292,7 +292,7 @@ def rank_seeds(comparisons: Iterable[ComparisonRecord]) -> list[tuple[float, int
     ranking = []
     for seed, rows in by_seed.items():
         try:
-            mean_err = fmean([c.relative_error_pct for c in rows])
+            mean_err = math.fsum([c.relative_error_pct for c in rows]) / len(rows)  # statistics.fmean's computation
         except OverflowError:
             raise DivisionByZero("mean relative error overflows; an observed value is near zero") from None
         ranking.append((mean_err, seed, rmse([c.t_obs_c for c in rows], [c.t_sim_c for c in rows])))

@@ -82,10 +82,12 @@ def _init_state_by_key(key: Sequence[int]) -> list[int]:
     return mt
 
 
-def _whole(value, what: str) -> int:
-    """An int or numpy integer as an int; a bool, float or string is refused, never truncated or parsed."""
+def _word(value, what: str) -> int:
+    """An int or numpy integer in [0, 2^32) as an int; anything else is refused, never truncated, parsed or masked."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {type(value).__name__}")
+    if not 0 <= value <= _WORD_MASK:
+        raise ValidationError(f"{what} must be an unsigned 32-bit integer, got {value}")
     return int(value)
 
 
@@ -109,17 +111,14 @@ class MersenneTwister(random.Random):
     """
 
     def __init__(self, seed: int):
-        seed = _whole(seed, "seed")
-        if not 0 <= seed <= _WORD_MASK:
-            raise ValidationError(f"seed must be an unsigned 32-bit integer, got {seed}")
-        self.setstate((3, (*_seeded_state(seed).tolist(), _N), None))
+        self.setstate((3, (*_seeded_state(_word(seed, "seed")).tolist(), _N), None))
 
     @classmethod
     def from_key(cls, key: Sequence[int]) -> "MersenneTwister":
         """Array-seeded generator, matching the reference init-by-array scheme."""
         if not key:
             raise ValidationError("seeding key must be nonempty")
-        words = tuple(_whole(k, "seeding key word") & _WORD_MASK for k in key)
+        words = tuple(_word(k, "seeding key word") for k in key)
         gen = cls.__new__(cls)
         gen.setstate((3, (*_seeded_state(words).tolist(), _N), None))
         return gen
@@ -173,7 +172,7 @@ def uniform_series(
     if order not in SORT_ORDERS:
         raise ValidationError(f"order must be one of {SORT_ORDERS}, got {order!r}")
 
-    values = t_min + _units(_whole(seed, "seed"), n) * (t_max - t_min)
+    values = t_min + _units(_word(seed, "seed"), n) * (t_max - t_min)
     # guard the closed-bound contract against the last-ulp of the affine map
     np.clip(values, t_min, t_max, out=values)
     values.sort()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from statistics import NormalDist
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,12 @@ import numpy as np
 from .errors import (DegenerateVariance, DivisionByZero, InsufficientSamples, ShapeMismatch, UnsupportedSampleSize,
                      ValidationError)
 
-_NORMAL = NormalDist()
+try:  # the C function behind statistics.NormalDist.inv_cdf (Wichura's AS 241), without loading statistics
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter without the accelerator: NormalDist's own inverse CDF
+    from statistics import NormalDist
+    _normal_dist_inv_cdf = lambda p, mu, sigma: NormalDist(mu, sigma).inv_cdf(p)
+_SQRT2 = math.sqrt(2.0)
 
 # Weight-correction and moment polynomials (ascending powers).
 _C1 = (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
@@ -72,7 +77,8 @@ def _sw_weights(n: int) -> tuple[np.ndarray, float]:
     if n == 3:
         a = np.array([math.sqrt(0.5)])
     else:
-        m = np.fromiter(map(_NORMAL.inv_cdf, ((np.arange(1, half + 1) - 0.375) / (n + 0.25)).tolist()), float, half)
+        blom = ((np.arange(1, half + 1) - 0.375) / (n + 0.25)).tolist()
+        m = np.fromiter(map(_normal_dist_inv_cdf, blom, repeat(0.0), repeat(1.0)), float, half)
         summ2 = 2.0 * float(np.sum(m * m))
         ssumm2 = math.sqrt(summ2)
         rsn = 1.0 / math.sqrt(n)
@@ -139,7 +145,7 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
             log_n = math.log(n)
             mu = _poly(_C5, log_n)
             sigma = math.exp(_poly(_C6, log_n))
-        p = 1.0 - _NORMAL.cdf((y - mu) / sigma)
+        p = 1.0 - 0.5 * (1.0 + math.erf((y - mu) / sigma / _SQRT2))  # NormalDist().cdf's own expression
     return NormalityResult(w_statistic=w, p_value=min(1.0, max(0.0, p)), n=n)
 
 

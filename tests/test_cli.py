@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, formats, exit codes, determinism."""
 
+import importlib.util
 import json
 import math
 import os
@@ -444,7 +445,7 @@ def test_entry_point_subprocess(tmp_path):
 UNNEEDED_MODULES_PROBE = """
 import contextlib, io, json, sys
 import darl.cli
-unneeded = {'array', 'darl._series_csv', 'logging', 'numpy.random'}
+unneeded = set(json.loads(sys.argv[2]))
 loaded = [sorted(unneeded & set(sys.modules))]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -457,13 +458,18 @@ print(json.dumps(loaded))
 def test_cli_import_loads_no_unneeded_modules(tmp_path):
     # nothing logs, the draws use random.Random, not numpy.random, seeding packs no array, and
     # only generate loads the series CSV writer: not the import, nor run, sweep or validate after it
+    unneeded = ["array", "darl._series_csv", "logging", "numpy.random"]
+    if importlib.util.find_spec("_statistics"):
+        # the Blom scores come from the C inverse CDF itself and the p-value from math.erf, so the
+        # statistics module, and the fractions and decimal modules it loads, stay out
+        unneeded += ["statistics", "fractions", "decimal"]
     argvs = [
         ["run", "--fixture", "experiment-a", "--out-dir", str(tmp_path)],
         ["sweep", "--fixture", "experiment-b", "--out-dir", str(tmp_path)],
         ["validate", "--fixture", "experiment-a"],
     ]
     probe = subprocess.run(
-        [sys.executable, "-c", UNNEEDED_MODULES_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", UNNEEDED_MODULES_PROBE, json.dumps(argvs), json.dumps(unneeded)],
         capture_output=True, text=True, timeout=60,
     )
     assert probe.returncode == 0, probe.stderr

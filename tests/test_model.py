@@ -3,11 +3,14 @@
 import math
 import random
 import re
+import statistics
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import darl
 import darl.model
@@ -360,6 +363,21 @@ def test_select_best_seed_single_and_empty():
         rank_seeds([])
     with pytest.raises(DivisionByZero, match="overflows"):
         rank_seeds([comparison(3, 1e308), comparison(3, 1e308, length=3.4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(errs=st.lists(st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1.7e308)), min_size=1, max_size=12))
+@example(errs=[1e308, 1e308])
+@example(errs=[1e16, 1.0, -1e16 + 2.0])
+def test_rank_seeds_mean_is_statistics_fmean(errs):
+    comparisons = [comparison(3, err, length=float(i)) for i, err in enumerate(errs)]
+    try:
+        expected = statistics.fmean(errs)
+    except OverflowError:
+        with pytest.raises(DivisionByZero, match="mean relative error overflows"):
+            rank_seeds(comparisons)
+    else:
+        assert rank_seeds(comparisons)[0][0].hex() == expected.hex()
 
 
 def test_degenerate_seed_fails_the_fit(monkeypatch):

@@ -45,6 +45,13 @@ def test_out_of_range_seed_rejected(bad):
         MersenneTwister(bad)
 
 
+@pytest.mark.parametrize("key", [(2**32 + 5, 7), (-1,), (5, 2**32)], ids=repr)
+def test_out_of_range_key_word_rejected(key):
+    # masked to 32 bits, (2**32 + 5, 7) would seed as (5, 7) and (-1,) as (2**32 - 1,)
+    with pytest.raises(ValidationError, match="seeding key word must be an unsigned 32-bit integer, got"):
+        MersenneTwister.from_key(key)
+
+
 def test_empty_seeding_key_rejected():
     with pytest.raises(ValidationError, match="seeding key must be nonempty"):
         MersenneTwister.from_key(())
@@ -97,6 +104,9 @@ def test_seeded_state_memo_memory_is_bounded():
 @pytest.mark.parametrize("edge", [0, 2**32 - 1])
 def test_edge_seeds_accepted(edge):
     MersenneTwister(edge).getrandbits(32)
+    # and as a key word, seeded as numpy seeds the same key
+    expected = np.random.RandomState(np.array([edge, 7])).get_state()[1]
+    assert list(MersenneTwister.from_key((edge, 7)).getstate()[1][:624]) == expected.tolist()
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_WORDS))

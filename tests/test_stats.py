@@ -1,9 +1,14 @@
 """Validation statistics against reference oracles and hand arithmetic."""
 
 import hashlib
+import json
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,8 +24,10 @@ from darl.errors import (
     ValidationError,
 )
 from darl.prng import KNOWN_FERMAT_PRIMES, MersenneTwister, uniform_series
-from darl.stats import _C1, _C2, _G, _NORMAL, _poly, _sw_weights, quartile_summary, relative_error, rmse, shapiro_wilk
+from darl.stats import (_C1, _C2, _G, _SQRT2, _poly, _sw_weights, quartile_summary, relative_error, rmse,
+                        shapiro_wilk)
 
+from cli_corpus import MANIFEST
 from golden_data import SW_FIXTURE, SW_FIXTURE_P, SW_FIXTURE_W
 
 
@@ -313,12 +320,12 @@ def test_sw_weights_cached_once_per_n_and_read_only():
 
 
 def reference_sw_weights(n):
-    """_sw_weights with its Blom scores taken one list item at a time."""
+    """_sw_weights with its Blom scores taken one list item at a time, from statistics.NormalDist's public method."""
     half = n // 2
     if n == 3:
         a = np.array([math.sqrt(0.5)])
     else:
-        m = np.array([_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, half + 1)])
+        m = np.array([NormalDist().inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, half + 1)])
         summ2 = 2.0 * float(np.sum(m * m))
         rsn = 1.0 / math.sqrt(n)
         ends, num, den = [], summ2, 1.0
@@ -342,14 +349,66 @@ def test_sw_weights_equal_the_list_comprehension_reference(n):
     assert weights.tobytes() == expected.tobytes() and ssw == expected_ssw
 
 
-def test_sw_weights_bytes_pinned():
-    # every n to 100 (one end weight to n = 5, two from n = 6) and every 41st to 5,000;
-    # the digest of the weights' bytes and repr(ssw), taken before the two end-weight paths became one
+# the digest of the weights' bytes and repr(ssw), taken before the two end-weight paths became one
+SW_WEIGHTS_DIGEST = "006087463e9bf6b7e36b286c76bff011ceb5963e0b08345064967a9c9f4def47"
+
+
+def sw_weights_digest():
+    """sha256 of the weights and square sum at every n to 100 (one end weight to n = 5, two from n = 6)
+    and every 41st to 5,000."""
     digest = hashlib.sha256()
     for n in [*range(3, 101), *range(101, 5000, 41), 5000]:
         weights, ssw = _sw_weights(n)
         digest.update(weights.tobytes() + repr(ssw).encode())
-    assert digest.hexdigest() == "006087463e9bf6b7e36b286c76bff011ceb5963e0b08345064967a9c9f4def47"
+    return digest.hexdigest()
+
+
+def test_sw_weights_bytes_pinned():
+    assert sw_weights_digest() == SW_WEIGHTS_DIGEST
+
+
+@settings(max_examples=500, deadline=None)
+@given(z=st.floats(allow_nan=False, allow_infinity=False))
+@example(z=0.0)
+@example(z=-0.0)
+@example(z=-1.6448536269514722)
+@example(z=38.5)
+@example(z=-38.5)
+def test_p_value_expression_is_normal_dist_cdf(z):
+    # shapiro_wilk's upper tail, 1 - Phi(z), as erf with darl's _SQRT2, is NormalDist().cdf bit for bit
+    assert (1.0 - 0.5 * (1.0 + math.erf(z / _SQRT2))).hex() == (1.0 - NormalDist().cdf(z)).hex()
+
+
+FALLBACK_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+sys.modules["_statistics"] = None  # an interpreter without the statistics C accelerator
+sys.path.insert(0, sys.argv[1])
+assert "statistics" not in sys.modules
+import darl.stats
+assert "statistics" in sys.modules, "darl.stats did not fall back to statistics.NormalDist"
+import statistics
+assert statistics._normal_dist_inv_cdf.__module__ == "statistics"  # its pure-Python inverse CDF
+from cli_corpus import corpus_commands, outcome_parts, parts_digest
+from test_stats import sw_weights_digest
+name = sys.argv[2]
+argvs, files = next((argvs, files) for entry, argvs, files in corpus_commands() if entry == name)
+with tempfile.TemporaryDirectory() as directory:
+    parts = outcome_parts(argvs, files, Path(directory))
+print(json.dumps({"digest": parts_digest(parts), "weights": sw_weights_digest()}))
+"""
+
+
+def test_statistics_fallback_gives_the_same_bytes():
+    # without _statistics, darl takes NormalDist().inv_cdf, which runs statistics' pure-Python AS 241:
+    # the same pinned outcome (exit code, stdout, stderr and files) of a fixture run, and the same weights
+    name = "fixture-b-run-as-printed-json"
+    probe = subprocess.run([sys.executable, "-c", FALLBACK_PROBE, str(Path(__file__).parent), name],
+                           capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    child = json.loads(probe.stdout)
+    assert child["digest"] == json.loads(MANIFEST.read_text())[name]
+    assert child["weights"] == SW_WEIGHTS_DIGEST
 
 
 def test_sample_shaped_like_the_weights_gives_p_one():
