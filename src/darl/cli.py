@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import DarlError, NumericalDegeneracy, ParseError, UnsupportedSampleSize, ValidationError
+from .errors import DarlError, NumericalDegeneracy, UnsupportedSampleSize, ValidationError
 from .ingest import (
     FIXTURE_NAMES,
     Fixture,
@@ -82,7 +82,7 @@ def _read_input(path: str) -> bytes:
         while len(data) <= MAX_INPUT_BYTES and (chunk := handle.read(1 << 16)):
             data += chunk
     if len(data) > MAX_INPUT_BYTES:
-        raise ParseError(f"{path} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
+        raise ValidationError(f"{path} is larger than the input limit of {MAX_INPUT_BYTES} bytes")
     return bytes(data)
 
 

@@ -10,13 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InsufficientSamples,
-    ParseError,
-    SchemaError,
-    UnknownFixture,
-    ValidationError,
-)
+from .errors import SchemaError, UnknownFixture, ValidationError
 from .model import ExperimentConfig
 from .prng import TEMPERATURE_LIMIT_C
 
@@ -30,7 +24,7 @@ def _decode(data: bytes, what: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None
+        raise ValidationError(f"{what} is not valid UTF-8: {exc}") from None
 
 
 def plain_number(text: str) -> float:
@@ -45,11 +39,11 @@ def _finite(cell: str, idx: int) -> float:
     try:
         value = plain_number(cell)
     except ValueError:
-        raise ParseError(f"row {idx}: unparseable numeric value") from None
+        raise ValidationError(f"row {idx}: unparseable numeric value") from None
     if not math.isfinite(value):
-        raise ParseError(f"row {idx}: non-finite value")
+        raise ValidationError(f"row {idx}: non-finite value")
     if abs(value) > TEMPERATURE_LIMIT_C:
-        raise ParseError(f"row {idx}: value {value:g} beyond ±{TEMPERATURE_LIMIT_C:g}")
+        raise ValidationError(f"row {idx}: value {value:g} beyond ±{TEMPERATURE_LIMIT_C:g}")
     return value
 
 
@@ -81,9 +75,9 @@ def load_config(data: bytes) -> ExperimentConfig:
     try:
         doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also an integer literal beyond int's 4,300-digit parse limit
-        raise ParseError(f"config is not valid JSON: {exc}") from None
+        raise ValidationError(f"config is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ParseError("config is nested too deeply to parse") from None
+        raise ValidationError("config is nested too deeply to parse") from None
     return _config_from_mapping(doc)
 
 
@@ -134,7 +128,7 @@ def load_series_csv(data: bytes) -> np.ndarray:
         raise SchemaError(f"series header must be Ordered_Value, got {lines[0]!r}")
     body = lines[1:]
     if not body:
-        raise InsufficientSamples("series file has no values")
+        raise ValidationError("series file has no values")
     try:  # every row at once; _finite's checks, batched
         joined = "".join(body)
         if "_" in joined or not joined.isascii():
@@ -161,10 +155,10 @@ def load_reference_csv(data: bytes) -> list[tuple[float, float]]:
     for idx, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != 2:
-            raise ParseError(f"row {idx}: expected 2 cells, got {len(cells)}")
+            raise ValidationError(f"row {idx}: expected 2 cells, got {len(cells)}")
         length = _finite(cells[0], idx)
         if length in out:
-            raise ParseError(f"row {idx}: duplicate length {length} m")
+            raise ValidationError(f"row {idx}: duplicate length {length} m")
         out[length] = _finite(cells[1], idx)
     if not out:
         raise ValidationError("reference file has no observation rows")

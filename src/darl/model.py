@@ -26,15 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DivisionByZero,
-    InsufficientSamples,
-    InvalidCoefficient,
-    MissingReference,
-    SchemaError,
-    Singularity,
-    ValidationError,
-)
+from .errors import DivisionByZero, NumericalDegeneracy, SchemaError, Singularity, ValidationError
 from .prng import (KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, SORT_ORDERS, TEMPERATURE_LIMIT_C,
                    uniform_series)
 from .regression import LinearFit, fit_lines, predict_at
@@ -62,11 +54,11 @@ def darl_temperature(
     """Simulated air temperature and its out-of-physical-range flag.
 
     The flag is set when the result falls outside [min(t_min, t_w), t_max].
-    Raises InvalidCoefficient for r_squared <= 0 and Singularity when the
+    Raises NumericalDegeneracy for r_squared <= 0 and Singularity when the
     selected mode's denominator is exactly zero.
     """
     if r_squared <= 0.0:
-        raise InvalidCoefficient(f"r_squared must be positive, got {r_squared}")
+        raise NumericalDegeneracy(f"r_squared must be positive, got {r_squared}")
     if mode not in DARL_MODES:
         raise ValidationError(f"unknown predictor mode {mode!r} (registered: {', '.join(DARL_MODES)})")
     span = float(t_max) - float(t_min)
@@ -257,14 +249,14 @@ def compare_with_reference(
 ) -> list[ComparisonRecord]:
     """One comparison row per record, in record order.
 
-    Raises MissingReference when a record's target length has no reference
+    Raises ValidationError when a record's target length has no reference
     observation.
     """
     lookup = {float(length): float(t_obs) for length, t_obs in reference}
     comparisons: list[ComparisonRecord] = []
     for rec in records:
         if rec.target_length_m not in lookup:
-            raise MissingReference(
+            raise ValidationError(
                 f"no reference observation at {rec.target_length_m} m"
             )
         t_obs = lookup[rec.target_length_m]
@@ -288,7 +280,7 @@ def rank_seeds(comparisons: Iterable[ComparisonRecord]) -> list[tuple[float, int
     for c in comparisons:
         by_seed.setdefault(c.seed, []).append(c)
     if not by_seed:
-        raise InsufficientSamples("no comparison records to rank")
+        raise ValidationError("no comparison records to rank")
     ranking = []
     for seed, rows in by_seed.items():
         try:

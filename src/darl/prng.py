@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientSamples, InvalidBounds, ValidationError
+from .errors import ValidationError
 
 _N = 624
 _WORD_MASK = 0xFFFFFFFF
@@ -161,14 +161,14 @@ def uniform_series(
     arguments always produce an identical series.
     """
     if n < 2:
-        raise InsufficientSamples(f"series needs at least 2 values, got {n}")
+        raise ValidationError(f"series needs at least 2 values, got {n}")
     if n > MAX_SAMPLE_COUNT:
         raise ValidationError(f"series length {n} exceeds the maximum of {MAX_SAMPLE_COUNT} samples")
     # NaN fails the comparison too, so non-finite bounds are refused here
     if not (abs(t_min) <= TEMPERATURE_LIMIT_C and abs(t_max) <= TEMPERATURE_LIMIT_C):
-        raise InvalidBounds(f"bounds must be finite and within ±{TEMPERATURE_LIMIT_C:g}, got [{t_min}, {t_max}]")
+        raise ValidationError(f"bounds must be finite and within ±{TEMPERATURE_LIMIT_C:g}, got [{t_min}, {t_max}]")
     if t_min > t_max:
-        raise InvalidBounds(f"t_min {t_min} exceeds t_max {t_max}")
+        raise ValidationError(f"t_min {t_min} exceeds t_max {t_max}")
     if order not in SORT_ORDERS:
         raise ValidationError(f"order must be one of {SORT_ORDERS}, got {order!r}")
 

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateAbscissa, DegenerateVariance, InsufficientSamples, ShapeMismatch, ValidationError
+from .errors import NumericalDegeneracy, ValidationError
 
 
 def _exact_sum(a: np.ndarray, bound: float) -> float:
@@ -66,15 +66,15 @@ def fit_ols(points: np.ndarray | Iterable[tuple[float, float]]) -> LinearFit:
     beta = sum((x-xbar)(y-ybar)) / sum((x-xbar)^2), alpha = ybar - beta*xbar,
     r_squared = 1 - SSE/SST.
 
-    Raises ShapeMismatch when the points do not form an (n, 2) array,
-    ValidationError for a NaN or infinite coordinate, InsufficientSamples
-    for fewer than two points, DegenerateAbscissa when every x coincides
-    (or their spread underflows), and DegenerateVariance when every y
-    coincides (the coefficient of determination is undefined there).
+    Raises ValidationError when the points do not form an (n, 2) array,
+    for a NaN or infinite coordinate and for fewer than two points, and
+    NumericalDegeneracy when every x coincides (or their spread underflows)
+    and when every y coincides (the coefficient of determination is
+    undefined there).
     """
     xy = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64)
     if xy.size and (xy.ndim != 2 or xy.shape[1] != 2):
-        raise ShapeMismatch(f"points must form an (n, 2) array, got shape {xy.shape}")
+        raise ValidationError(f"points must form an (n, 2) array, got shape {xy.shape}")
     xy = xy.reshape(-1, 2)
     return fit_lines(xy[:, 0], [xy[:, 1]])[0]
 
@@ -91,19 +91,19 @@ def fit_lines(x: np.ndarray, ys: Iterable[np.ndarray]) -> list[LinearFit]:
     if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in extremes):  # min/max keep a NaN
         raise ValidationError("points must be finite numbers")
     if n < 2:
-        raise InsufficientSamples(f"regression needs at least 2 points, got {n}")
+        raise ValidationError(f"regression needs at least 2 points, got {n}")
     (x_lo, x_hi), *y_extremes = extremes
     if x_lo == x_hi:
-        raise DegenerateAbscissa("all x values are identical")
+        raise NumericalDegeneracy("all x values are identical")
     if any(y_lo == y_hi for y_lo, y_hi in y_extremes):
-        raise DegenerateVariance("all y values are identical")
+        raise NumericalDegeneracy("all y values are identical")
 
     x_bar = _exact_sum(x, max(-x_lo, x_hi)) / n
     dx = x - x_bar
     x_dev = max(x_bar - x_lo, x_hi - x_bar)
     s_xx = _exact_sum(dx * dx, x_dev * x_dev)
     if s_xx == 0.0:
-        raise DegenerateAbscissa("the spread of x underflows to zero")
+        raise NumericalDegeneracy("the spread of x underflows to zero")
     fits: list[LinearFit] = []
     for y, (lo, hi) in zip(ys, y_extremes):
         y_bar = _exact_sum(y, max(-lo, hi)) / n
@@ -112,7 +112,7 @@ def fit_lines(x: np.ndarray, ys: Iterable[np.ndarray]) -> list[LinearFit]:
         s_xy = _exact_sum(dx * dy, x_dev * y_dev)
         s_st = _exact_sum(dy * dy, y_dev * y_dev)
         if s_st == 0.0:
-            raise DegenerateVariance("zero total variance in y")
+            raise NumericalDegeneracy("zero total variance in y")
         beta = s_xy / s_xx
         alpha = y_bar - beta * x_bar
         residual = y - alpha - beta * x

@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DegenerateVariance, DivisionByZero, InsufficientSamples, ShapeMismatch, UnsupportedSampleSize,
-                     ValidationError)
+from .errors import DivisionByZero, NumericalDegeneracy, UnsupportedSampleSize, ValidationError
 
 try:  # the C function behind statistics.NormalDist.inv_cdf (Wichura's AS 241), without loading statistics
     from _statistics import _normal_dist_inv_cdf
@@ -105,7 +104,7 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
     normalised expected normal order statistics; the p-value comes from the
     log-normal approximation to 1 - W. Raises UnsupportedSampleSize outside
     the supported range, ValidationError for a NaN or infinite value and
-    DegenerateVariance for constant input.
+    NumericalDegeneracy for constant input.
     """
     n = len(values)
     if n < _MIN_N or n > _MAX_N:
@@ -117,7 +116,7 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
     # (a power of two rounds nothing unless a value turns subnormal, and then it is lost in the mean)
     x = np.ldexp(x, -math.frexp(max(-x[0], x[-1]))[1])
     if x[-1] - x[0] < 1e-19:
-        raise DegenerateVariance("sample has zero range")
+        raise NumericalDegeneracy("sample has zero range")
 
     wc, ssw = _sw_weights(n)
     # squared correlation, evaluated via 1 - W to keep precision near W = 1
@@ -154,9 +153,9 @@ def rmse(observed: Sequence[float], simulated: Sequence[float]) -> float:
     obs = [float(v) for v in observed]
     sim = [float(v) for v in simulated]
     if len(obs) != len(sim):
-        raise ShapeMismatch(f"length mismatch: {len(obs)} observed vs {len(sim)} simulated")
+        raise ValidationError(f"length mismatch: {len(obs)} observed vs {len(sim)} simulated")
     if not obs:
-        raise InsufficientSamples("rmse of empty vectors is undefined")
+        raise ValidationError("rmse of empty vectors is undefined")
     # halved so no difference overflows, then scaled by 2^-f so the largest is in [0.5, 1) and no square over- or
     # underflows needlessly; powers of two round nothing above 2^-1021, so only an RMSE beyond the float range
     # overflows (to inf, in the last doubling). d * d, unlike libm's pow(d, 2), is correctly rounded.
@@ -200,7 +199,7 @@ def quartile_summary(values: Sequence[float]) -> QuartileSummary:
     """Quartiles by linear interpolation (the common "type 7" convention); a NaN or infinity is a ValidationError."""
     data = np.sort(np.asarray(values, dtype=float), kind="stable")
     if not data.size:
-        raise InsufficientSamples("quartiles of an empty sample are undefined")
+        raise ValidationError("quartiles of an empty sample are undefined")
     if not (math.isfinite(data[0]) and math.isfinite(data[-1])):
         raise ValidationError("sample values must be finite numbers")
     q1 = _quantile_type7(data, 0.25)

@@ -9,13 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darl.errors import (
-    InsufficientSamples,
-    ParseError,
-    SchemaError,
-    UnknownFixture,
-    ValidationError,
-)
+from darl.errors import SchemaError, UnknownFixture, ValidationError
 from darl.ingest import (
     _CONFIG_REQUIRED,
     FIXTURE_NAMES,
@@ -68,7 +62,7 @@ def test_load_config_rejects_target_beyond_length():
 
 
 def test_load_config_malformed_json():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="config is not valid JSON"):
         load_config(b"{not json")
 
 
@@ -177,13 +171,13 @@ def test_load_series_csv():
     assert values.tolist() == [1.5, 2.5]
     with pytest.raises(SchemaError):
         load_series_csv(b"Wrong_Header\n1.0\n")
-    with pytest.raises(ParseError, match="row 2"):
+    with pytest.raises(ValidationError, match="row 2: unparseable numeric value"):
         load_series_csv(b"Ordered_Value\n1.0\nxyz\n")
-    with pytest.raises(ParseError, match="row 2: non-finite"):
+    with pytest.raises(ValidationError, match="row 2: non-finite"):
         load_series_csv(b"Ordered_Value\n1.0\n-inf\n")
-    with pytest.raises(ParseError, match="not valid UTF-8"):
+    with pytest.raises(ValidationError, match="series file is not valid UTF-8"):
         load_series_csv(b"Ordered_Value\n1.0\n\xff\n")
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(ValidationError, match="series file has no values"):
         load_series_csv(b"Ordered_Value\n")
 
 
@@ -192,7 +186,7 @@ def per_row_series(data: bytes) -> np.ndarray:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"series file is not valid UTF-8: {exc}") from None
+        raise ValidationError(f"series file is not valid UTF-8: {exc}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise SchemaError("series file is empty; Ordered_Value header required")
@@ -201,18 +195,18 @@ def per_row_series(data: bytes) -> np.ndarray:
     values = []
     for idx, cell in enumerate(lines[1:], start=1):
         if "_" in cell or not cell.isascii():
-            raise ParseError(f"row {idx}: unparseable numeric value")
+            raise ValidationError(f"row {idx}: unparseable numeric value")
         try:
             value = float(cell)
         except ValueError:
-            raise ParseError(f"row {idx}: unparseable numeric value") from None
+            raise ValidationError(f"row {idx}: unparseable numeric value") from None
         if not math.isfinite(value):
-            raise ParseError(f"row {idx}: non-finite value")
+            raise ValidationError(f"row {idx}: non-finite value")
         if abs(value) > TEMPERATURE_LIMIT_C:
-            raise ParseError(f"row {idx}: value {value:g} beyond ±{TEMPERATURE_LIMIT_C:g}")
+            raise ValidationError(f"row {idx}: value {value:g} beyond ±{TEMPERATURE_LIMIT_C:g}")
         values.append(value)
     if not values:
-        raise InsufficientSamples("series file has no values")
+        raise ValidationError("series file has no values")
     return np.asarray(values, dtype=np.float64)
 
 
@@ -266,14 +260,14 @@ def test_load_reference_csv():
     assert rows == [(2.5, 28.8), (3.4, 27.37)]
     with pytest.raises(SchemaError):
         load_reference_csv(b"length,t\n2.5,28.8\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="row 1: unparseable numeric value"):
         load_reference_csv(b"length_m,t_obs_c\n2.5,bad\n")
-    with pytest.raises(ParseError, match="row 1: non-finite"):
+    with pytest.raises(ValidationError, match="row 1: non-finite"):
         load_reference_csv(b"length_m,t_obs_c\nnan,28.8\n")
-    with pytest.raises(ParseError, match="not valid UTF-8"):
+    with pytest.raises(ValidationError, match="reference file is not valid UTF-8"):
         load_reference_csv(b"length_m,t_obs_c\n2.5,\xfe28.8\n")
     with pytest.raises(ValidationError):
         load_reference_csv(b"length_m,t_obs_c\n")
-    with pytest.raises(ParseError, match="row 3: duplicate length 2.5"):
+    with pytest.raises(ValidationError, match="row 3: duplicate length 2.5"):
         load_reference_csv(b"length_m,t_obs_c\n2.5,28.8\n3.4,27.37\n2.50,26.67\n")
 

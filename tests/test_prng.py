@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darl import prng
-from darl.errors import InsufficientSamples, InvalidBounds, ValidationError
+from darl.errors import ValidationError
 from darl.prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, MersenneTwister, uniform_series
 
 from golden_data import (
@@ -246,14 +246,14 @@ def test_uniform_series_values_immutable():
 
 
 def test_uniform_series_errors():
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(ValidationError, match="series needs at least 2 values, got 1"):
         uniform_series(5, 1, 0.0, 1.0)
-    with pytest.raises(InvalidBounds):
+    with pytest.raises(ValidationError, match="t_min 2.0 exceeds t_max 1.0"):
         uniform_series(5, 10, 2.0, 1.0)
     for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
                    (-1e308, 1e308),  # finite bounds whose span overflows to inf
                    (-2e6, 0.0), (0.0, 1e6 + 1)):  # beyond TEMPERATURE_LIMIT_C
-        with pytest.raises(InvalidBounds, match="finite"):
+        with pytest.raises(ValidationError, match="bounds must be finite and within"):
             uniform_series(5, 10, lo, hi)
     with pytest.raises(ValidationError, match="exceeds the maximum"):
         uniform_series(5, MAX_SAMPLE_COUNT + 1, 0.0, 1.0)
