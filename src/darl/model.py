@@ -54,11 +54,15 @@ def darl_temperature(
     """Simulated air temperature and its out-of-physical-range flag.
 
     The flag is set when the result falls outside [min(t_min, t_w), t_max].
-    Raises NumericalDegeneracy for r_squared <= 0 and Singularity when the
-    selected mode's denominator is exactly zero.
+    Raises ValidationError for a NaN or infinite argument or r_squared
+    above 1, NumericalDegeneracy for r_squared <= 0 or a result beyond the
+    float range, and Singularity when the selected mode's denominator is
+    exactly zero.
     """
-    if r_squared <= 0.0:
-        raise NumericalDegeneracy(f"r_squared must be positive, got {r_squared}")
+    if not 0.0 < r_squared <= 1.0:  # also a NaN
+        if r_squared <= 0.0:
+            raise NumericalDegeneracy(f"r_squared must be positive, got {r_squared}")
+        raise ValidationError(f"r_squared must lie in (0, 1], got {r_squared}")
     if mode not in DARL_MODES:
         raise ValidationError(f"unknown predictor mode {mode!r} (registered: {', '.join(DARL_MODES)})")
     span = float(t_max) - float(t_min)
@@ -73,6 +77,10 @@ def darl_temperature(
         if den == 0.0:
             raise Singularity("t_phi * r_squared vanishes; the variant denominator is zero")
         t_sim = (span / den) * w + phi
+    if not math.isfinite(t_sim):  # a non-finite argument always makes it so; only then are they read
+        if not all(map(math.isfinite, (t_max, t_min, t_w, t_phi))):
+            raise ValidationError("predictor arguments must be finite numbers")
+        raise NumericalDegeneracy(f"the predicted temperature overflows the float range (got {t_sim})")
     out_of_range = not (min(t_min, t_w) <= t_sim <= t_max)
     return t_sim, out_of_range
 

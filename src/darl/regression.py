@@ -50,6 +50,14 @@ def _exact_sum(a: np.ndarray, bound: float) -> float:
     return math.fsum(memoryview(a))
 
 
+_OVERFLOW = "a sum or coefficient of the fit overflows the float range"
+
+
+def _check_finite(*values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise NumericalDegeneracy(_OVERFLOW)
+
+
 @dataclass(frozen=True)
 class LinearFit:
     """Intercept/slope pair with its coefficient of determination."""
@@ -57,7 +65,6 @@ class LinearFit:
     alpha: float      # intercept, degC
     beta: float       # slope, degC per m
     r_squared: float  # in [0, 1]
-    n: int
 
 
 def fit_ols(points: np.ndarray | Iterable[tuple[float, float]]) -> LinearFit:
@@ -68,9 +75,9 @@ def fit_ols(points: np.ndarray | Iterable[tuple[float, float]]) -> LinearFit:
 
     Raises ValidationError when the points do not form an (n, 2) array,
     for a NaN or infinite coordinate and for fewer than two points, and
-    NumericalDegeneracy when every x coincides (or their spread underflows)
-    and when every y coincides (the coefficient of determination is
-    undefined there).
+    NumericalDegeneracy when every x coincides (or their spread underflows),
+    when every y coincides (the coefficient of determination is undefined
+    there) and when a sum or coefficient overflows the float range.
     """
     xy = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64)
     if xy.size and (xy.ndim != 2 or xy.shape[1] != 2):
@@ -98,29 +105,38 @@ def fit_lines(x: np.ndarray, ys: Iterable[np.ndarray]) -> list[LinearFit]:
     if any(y_lo == y_hi for y_lo, y_hi in y_extremes):
         raise NumericalDegeneracy("all y values are identical")
 
-    x_bar = _exact_sum(x, max(-x_lo, x_hi)) / n
-    dx = x - x_bar
-    x_dev = max(x_bar - x_lo, x_hi - x_bar)
-    s_xx = _exact_sum(dx * dx, x_dev * x_dev)
-    if s_xx == 0.0:
-        raise NumericalDegeneracy("the spread of x underflows to zero")
     fits: list[LinearFit] = []
-    for y, (lo, hi) in zip(ys, y_extremes):
-        y_bar = _exact_sum(y, max(-lo, hi)) / n
-        dy = y - y_bar
-        y_dev = max(y_bar - lo, hi - y_bar)
-        s_xy = _exact_sum(dx * dy, x_dev * y_dev)
-        s_st = _exact_sum(dy * dy, y_dev * y_dev)
-        if s_st == 0.0:
-            raise NumericalDegeneracy("zero total variance in y")
-        beta = s_xy / s_xx
-        alpha = y_bar - beta * x_bar
-        residual = y - alpha - beta * x
-        residual *= residual
-        sse = _exact_sum(residual, float(residual.max()))
-        # roundoff can push 1 - SSE/SST a hair outside [0, 1]; pin it
-        r_squared = min(1.0, max(0.0, 1.0 - sse / s_st))
-        fits.append(LinearFit(alpha=alpha, beta=beta, r_squared=r_squared, n=n))
+    # an overflow shows as fsum's OverflowError (so a mean or s_xy, a sum of finite terms, is finite
+    # when it returns) or as a non-finite value where the terms can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x_bar = _exact_sum(x, max(-x_lo, x_hi)) / n
+            dx = x - x_bar
+            x_dev = max(x_bar - x_lo, x_hi - x_bar)
+            s_xx = _exact_sum(dx * dx, x_dev * x_dev)
+            _check_finite(s_xx)
+            if s_xx == 0.0:
+                raise NumericalDegeneracy("the spread of x underflows to zero")
+            for y, (lo, hi) in zip(ys, y_extremes):
+                y_bar = _exact_sum(y, max(-lo, hi)) / n
+                dy = y - y_bar
+                y_dev = max(y_bar - lo, hi - y_bar)
+                s_st = _exact_sum(dy * dy, y_dev * y_dev)
+                if s_st == 0.0:
+                    raise NumericalDegeneracy("zero total variance in y")
+                _check_finite(s_st)  # with s_xx, bounds every term of s_xy, so no inf - inf reaches fsum
+                s_xy = _exact_sum(dx * dy, x_dev * y_dev)
+                beta = s_xy / s_xx
+                alpha = y_bar - beta * x_bar
+                residual = y - alpha - beta * x
+                residual *= residual
+                sse = _exact_sum(residual, float(residual.max()))
+                _check_finite(beta, alpha, sse)
+                # roundoff can push 1 - SSE/SST a hair outside [0, 1]; pin it
+                r_squared = min(1.0, max(0.0, 1.0 - sse / s_st))
+                fits.append(LinearFit(alpha=alpha, beta=beta, r_squared=r_squared))
+        except OverflowError:
+            raise NumericalDegeneracy(_OVERFLOW) from None
     return fits
 
 

@@ -53,7 +53,6 @@ def _poly(coeffs: Sequence[float], x: float) -> float:
 class NormalityResult:
     w_statistic: float
     p_value: float
-    n: int
 
     @property
     def rejected(self) -> bool:
@@ -145,11 +144,11 @@ def shapiro_wilk(values: Sequence[float]) -> NormalityResult:
             mu = _poly(_C5, log_n)
             sigma = math.exp(_poly(_C6, log_n))
         p = 1.0 - 0.5 * (1.0 + math.erf((y - mu) / sigma / _SQRT2))  # NormalDist().cdf's own expression
-    return NormalityResult(w_statistic=w, p_value=min(1.0, max(0.0, p)), n=n)
+    return NormalityResult(w_statistic=w, p_value=min(1.0, max(0.0, p)))
 
 
 def rmse(observed: Sequence[float], simulated: Sequence[float]) -> float:
-    """Root mean square error sqrt(mean((obs - sim)^2))."""
+    """Root mean square error sqrt(mean((obs - sim)^2)); a NaN or infinity is a ValidationError."""
     obs = [float(v) for v in observed]
     sim = [float(v) for v in simulated]
     if len(obs) != len(sim):
@@ -160,6 +159,8 @@ def rmse(observed: Sequence[float], simulated: Sequence[float]) -> float:
     # underflows needlessly; powers of two round nothing above 2^-1021, so only an RMSE beyond the float range
     # overflows (to inf, in the last doubling). d * d, unlike libm's pow(d, 2), is correctly rounded.
     halves = [0.5 * o - 0.5 * s for o, s in zip(obs, sim)]
+    if not all(map(math.isfinite, halves)):  # finite exactly when both values are
+        raise ValidationError("rmse values must be finite numbers")
     f = math.frexp(max(map(abs, halves)))[1]
     scaled = [math.ldexp(h, -f) for h in halves]
     return 2.0 * math.ldexp(math.sqrt(math.fsum(d * d for d in scaled) / len(scaled)), f)
@@ -168,12 +169,16 @@ def rmse(observed: Sequence[float], simulated: Sequence[float]) -> float:
 def relative_error(observed: float, simulated: float) -> float:
     """Percent error 100*|observed - simulated| / |observed|.
 
-    The denominator is the observed (experimental) value.
+    The denominator is the observed (experimental) value. Raises
+    ValidationError for a NaN or infinite value and DivisionByZero for a
+    zero observed value or an error beyond the float range.
     """
-    observed = float(observed)
+    observed, simulated = float(observed), float(simulated)
+    if not (math.isfinite(observed) and math.isfinite(simulated)):
+        raise ValidationError(f"relative error needs finite numbers, got {observed!r} and {simulated!r}")
     if observed == 0.0:
         raise DivisionByZero("relative error against a zero observed value")
-    error = 100.0 * abs(observed - float(simulated)) / abs(observed)
+    error = 100.0 * abs(observed - simulated) / abs(observed)
     if not math.isfinite(error):
         raise DivisionByZero(f"relative error against observed value {observed!r} overflows")
     return error

@@ -84,6 +84,29 @@ def test_predictor_invalid_coefficient():
         darl_temperature(31.01, 25.81, 24.28, 28.0, -0.5)
 
 
+@pytest.mark.parametrize("mode", DARL_MODES)
+@pytest.mark.parametrize("args, message", [
+    ((31.01, 25.81, 24.28, math.nan, 0.9), "predictor arguments must be finite numbers"),
+    ((31.01, 25.81, 24.28, math.inf, 0.9), "predictor arguments must be finite numbers"),
+    ((math.inf, 25.81, 24.28, 28.0, 0.9), "predictor arguments must be finite numbers"),
+    ((31.01, -math.inf, 24.28, 28.0, 0.9), "predictor arguments must be finite numbers"),
+    ((31.01, 25.81, math.nan, 28.0, 0.9), "predictor arguments must be finite numbers"),
+    ((31.01, 25.81, 24.28, 28.0, math.nan), r"r_squared must lie in \(0, 1\], got nan"),
+    ((31.01, 25.81, 24.28, 28.0, 1.5), r"r_squared must lie in \(0, 1\], got 1.5"),
+    ((31.01, 25.81, 24.28, 28.0, math.inf), r"r_squared must lie in \(0, 1\], got inf"),
+])
+def test_predictor_rejects_non_finite_arguments_and_r_squared_above_one(args, message, mode):
+    with pytest.raises(ValidationError, match=message):
+        darl_temperature(*args, mode=mode)
+
+
+@pytest.mark.parametrize("mode", DARL_MODES)
+@pytest.mark.parametrize("t_w", [24.28, 0.0], ids=["inf", "nan"])  # 1/r_squared overflows; times 0 it is a NaN
+def test_predictor_result_beyond_the_float_range_is_degenerate(t_w, mode):
+    with pytest.raises(NumericalDegeneracy, match="the predicted temperature overflows the float range"):
+        darl_temperature(31.01, 25.81, t_w, 28.0, 1e-320, mode=mode)
+
+
 def test_predictor_derived_case():
     # (5.20 / 3.72) * (1 / 0.95) * 24.28 + 28.00
     t_sim, flagged = darl_temperature(31.01, 25.81, 24.28, 28.00, 0.95)

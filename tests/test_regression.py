@@ -4,6 +4,7 @@ its exact sum against math.fsum."""
 import math
 import random
 import types
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import darl.regression
-from darl.errors import NumericalDegeneracy, ValidationError
+from darl.errors import DarlError, NumericalDegeneracy, ValidationError
 from darl.ingest import load_fixture
 from darl.model import ExperimentConfig, build_series, fit_seeds
 from darl.prng import KNOWN_FERMAT_PRIMES, MAX_SAMPLE_COUNT, SORT_ORDERS
@@ -54,7 +55,6 @@ def test_exact_line():
     assert abs(fit.alpha - 1.0) < 1e-12
     assert abs(fit.beta - 2.0) < 1e-12
     assert abs(fit.r_squared - 1.0) < 1e-12
-    assert fit.n == 10
 
 
 def test_three_point_hand_example():
@@ -95,7 +95,7 @@ def centered_fsum_reference(xs, ys):
     beta = s_xy / s_xx
     alpha = y_bar - beta * x_bar
     sse = math.fsum((y - alpha - beta * x) * (y - alpha - beta * x) for x, y in zip(xs, ys))
-    return LinearFit(alpha=alpha, beta=beta, r_squared=min(1.0, max(0.0, 1.0 - sse / s_st)), n=n)
+    return LinearFit(alpha=alpha, beta=beta, r_squared=min(1.0, max(0.0, 1.0 - sse / s_st)))
 
 
 @pytest.mark.parametrize("fixture", ["experiment-a", "experiment-b"])
@@ -372,8 +372,36 @@ def test_abscissa_spread_underflow_is_degenerate():
         fit_ols([(0.0, 1.0), (1e-310, 2.0), (2e-310, 2.0)])
 
 
+@pytest.mark.parametrize("points", [
+    [(0.0, 1e300), (1e10, 2e300), (2e10, 3.5e300)],  # alpha and beta were -inf and inf
+    [(0.0, 1e200), (1.0, 2e200), (2.0, 3.5e200)],  # SSE overflowed and r_squared read 0.0
+    [(-1e308, 0.0), (1e308, 1.0), (0.0, 2.0)],  # s_xx overflowed and beta read 0.0
+    [(1.5e308, 0.0), (1.6e308, 1.0), (1.7e308, 2.0)],  # fsum raised OverflowError
+], ids=["coefficients", "sse", "abscissa-spread", "abscissa-sum"])
+def test_overflowing_fit_is_degenerate(points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDegeneracy, match="overflows the float range"):
+            fit_ols(points)
+
+
+@settings(max_examples=500, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.floats(allow_nan=False, allow_infinity=False)), min_size=2, max_size=8))
+@example(points=[(0.0, 1e-160), (1e-160, 1e154), (2e-160, -1e154), (3e-160, 1e154)])  # beta overflows
+def test_finite_points_give_a_finite_fit_or_a_darl_error(points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fit = fit_ols(points)
+        except DarlError:
+            return
+    assert math.isfinite(fit.alpha) and math.isfinite(fit.beta)
+    assert 0.0 <= fit.r_squared <= 1.0
+
+
 def test_predict_at_examples():
-    fit = LinearFit(alpha=1.0, beta=2.0, r_squared=1.0, n=2)
+    fit = LinearFit(alpha=1.0, beta=2.0, r_squared=1.0)
     assert predict_at(fit, 3.0) == 7.0
     assert predict_at(fit, 0.0) == fit.alpha
     three_point = fit_ols([(0.0, 1.0), (1.0, 2.0), (2.0, 2.0)])
